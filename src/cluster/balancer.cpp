@@ -35,13 +35,7 @@ void TwoLevelBalancer::on_start(mpisim::EngineControl& control) {
   node_controls_.clear();
   inners_.clear();
   for (std::uint32_t n = 0; n < num_nodes_; ++n) {
-    mpisim::Placement local;
-    local.cpu_of_rank.reserve(ranks_of_node_[n].size());
-    for (const std::size_t r : ranks_of_node_[n]) {
-      local.cpu_of_rank.push_back(placement_.within.cpu_of_rank[r]);
-    }
-    node_controls_.emplace_back(&control, ranks_of_node_[n], std::move(local),
-                                control.threads_per_core_of(n));
+    node_controls_.emplace_back(control, n, ranks_of_node_[n]);
     inners_.emplace_back(config_.inner);
   }
   node_wait_.assign(num_nodes_, 0.0);
@@ -57,7 +51,7 @@ void TwoLevelBalancer::on_epoch(mpisim::EngineControl& control,
                                 const mpisim::EpochReport& report) {
   SMTBAL_CHECK(report.ranks.size() == placement_.size());
   for (std::uint32_t n = 0; n < num_nodes_; ++n) {
-    node_controls_[n].rebind(&control);
+    node_controls_[n].rebind(control);
   }
 
   const SimTime window = report.now - last_epoch_time_;

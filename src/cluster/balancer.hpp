@@ -70,58 +70,11 @@ class TwoLevelBalancer final : public mpisim::BalancePolicy {
   }
 
  private:
-  /// Node-local EngineControl view: local rank ids 0..k-1 map onto the
-  /// node's global ranks, placement() is the node-local CPU slice.
-  class NodeControl final : public mpisim::EngineControl {
-   public:
-    NodeControl(mpisim::EngineControl* global,
-                std::vector<std::size_t> global_ranks,
-                mpisim::Placement local_placement,
-                std::uint32_t threads_per_core)
-        : global_(global),
-          global_ranks_(std::move(global_ranks)),
-          placement_(std::move(local_placement)),
-          threads_per_core_(threads_per_core) {}
-
-    void rebind(mpisim::EngineControl* global) { global_ = global; }
-
-    void set_rank_priority(RankId rank, int priority) override {
-      global_->set_rank_priority(global_id(rank), priority);
-    }
-    [[nodiscard]] int rank_priority(RankId rank) const override {
-      return global_->rank_priority(global_id(rank));
-    }
-    [[nodiscard]] const mpisim::Placement& placement() const override {
-      return placement_;
-    }
-    [[nodiscard]] std::size_t num_ranks() const override {
-      return global_ranks_.size();
-    }
-    [[nodiscard]] os::KernelModel& kernel() override {
-      return global_->kernel();
-    }
-    /// The *hosting node's* SMT width, captured at on_start — nodes may
-    /// differ on a heterogeneous cluster.
-    [[nodiscard]] std::uint32_t threads_per_core() const override {
-      return threads_per_core_;
-    }
-
-   private:
-    [[nodiscard]] RankId global_id(RankId local) const {
-      return RankId{static_cast<std::uint32_t>(global_ranks_[local.value()])};
-    }
-
-    mpisim::EngineControl* global_;
-    std::vector<std::size_t> global_ranks_;
-    mpisim::Placement placement_;
-    std::uint32_t threads_per_core_;
-  };
-
   const ClusterPlacement& placement_;
   TwoLevelBalancerConfig config_;
   std::uint32_t num_nodes_ = 0;
   std::vector<std::vector<std::size_t>> ranks_of_node_;
-  std::vector<NodeControl> node_controls_;
+  std::vector<mpisim::NodeView> node_controls_;
   std::vector<core::DynamicBalancer> inners_;
   std::vector<double> node_wait_;  ///< smoothed mean wait fraction per node
   std::vector<int> boost_;

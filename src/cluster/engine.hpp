@@ -1,7 +1,11 @@
 // Multi-node cluster engine: M nodes, each with its own smt::Chip +
 // os::KernelModel, coupled by cross-node messages priced through
-// cluster::Interconnect and driven by the same mpisim::detail::Sim event
-// loop as the flat engine.
+// cluster::Interconnect. It is the M-node facade over
+// mpisim::MultiNodeEngine — the same implementation of the control surface
+// and the run() wiring that the flat mpisim::Engine fronts for one node —
+// and keeps only what is cluster-specific: per-node chip derivation, the
+// per-shape sampler dedupe, the interconnect cost model, the
+// communication-graph observer, and the per-node NodeStats.
 //
 // Every node starts from the same base configuration (ClusterConfig.node)
 // — the paper's cluster-of-identical-OpenPower-710s scenario — and nodes
@@ -97,27 +101,30 @@ struct NodeStats {
   SimTime migration_stall = 0.0;
 };
 
-/// Prices one cross-node migration: the rank's resident state rides the
-/// stateful interconnect as a single transfer on the (from, to) path, so
+/// Routes transfer pricing by node: ranks on one node go through the
+/// intra-node Network, cross-node ranks through the (stateful, contended)
+/// Interconnect. A cross-node migration ships the rank's resident state
+/// over the interconnect as one transfer on the (from, to) path, so
 /// migrations queue behind — and delay — application messages sharing
 /// the links.
-class MigrationCostModel {
+class ClusterCostModel final : public mpisim::MessageCostModel {
  public:
-  MigrationCostModel(Interconnect& interconnect,
-                     const ClusterConfig::MigrationConfig& config)
-      : interconnect_(&interconnect), config_(&config) {}
+  explicit ClusterCostModel(const ClusterConfig& config);
 
-  /// When the migrating rank's state lands on the target node (>= now).
-  [[nodiscard]] SimTime arrival_time(SimTime now, std::uint32_t from_node,
-                                     std::uint32_t to_node) {
-    if (config_->resident_state_bytes == 0) return now;
-    return interconnect_->transfer(now, from_node, to_node,
-                                   config_->resident_state_bytes);
+  SimTime arrival_time(SimTime send_time, std::uint32_t src_node,
+                       std::uint32_t dst_node, std::uint64_t bytes) override;
+  SimTime collective_step_cost(std::uint64_t bytes) override;
+  SimTime migration_arrival(SimTime now, std::uint32_t from_node,
+                            std::uint32_t to_node) override;
+
+  [[nodiscard]] const Interconnect& interconnect() const {
+    return interconnect_;
   }
 
  private:
-  Interconnect* interconnect_;
-  const ClusterConfig::MigrationConfig* config_;
+  mpisim::Network network_;
+  Interconnect interconnect_;
+  std::uint64_t migration_bytes_;
 };
 
 struct ClusterRunResult {
@@ -134,7 +141,7 @@ struct ClusterRunResult {
   ClusterRunResult& operator=(const ClusterRunResult&) = delete;
 };
 
-class ClusterEngine final : public mpisim::EngineControl {
+class ClusterEngine final : public mpisim::MultiNodeEngine {
  public:
   ClusterEngine(mpisim::Application app, ClusterPlacement placement,
                 ClusterConfig config = {});
@@ -146,122 +153,27 @@ class ClusterEngine final : public mpisim::EngineControl {
                 ClusterConfig config,
                 std::shared_ptr<smt::ThroughputSampler> sampler);
 
-  /// Installs a balancing policy (non-owning; must outlive run()). The
-  /// policy sees global rank ids and the within-node placement; per-node
-  /// policies go through cluster::TwoLevelBalancer.
-  void set_policy(mpisim::BalancePolicy* policy) { policy_ = policy; }
-
-  /// Attaches an additional observer to the run's bus (non-owning; must
-  /// outlive run()). Must be called before run().
-  void add_observer(mpisim::SimObserver* observer);
-
   /// Runs the application to completion. May be called once per engine.
   ClusterRunResult run();
 
-  // --- EngineControl (global rank ids) ---------------------------------------
-  void set_rank_priority(RankId rank, int priority) override;
-  [[nodiscard]] int rank_priority(RankId rank) const override;
-  /// The *within-node* placement (cluster policies additionally consult
-  /// node_of_rank()).
-  [[nodiscard]] const mpisim::Placement& placement() const override {
-    return placement_.within;
-  }
-  [[nodiscard]] std::size_t num_ranks() const override { return app_.size(); }
-  /// Node 0's kernel — EngineControl predates multi-node; use
-  /// node_kernel() for a specific node.
-  [[nodiscard]] os::KernelModel& kernel() override { return *kernels_[0]; }
-  /// The *base* chip's SMT width; heterogeneous-aware policies use
-  /// threads_per_core_of(node).
-  [[nodiscard]] std::uint32_t threads_per_core() const override {
-    return config_.node.chip.threads_per_core();
-  }
-  [[nodiscard]] std::uint32_t num_nodes() const override {
-    return config_.num_nodes;
-  }
-  [[nodiscard]] std::uint32_t threads_per_core_of(
-      std::uint32_t node) const override;
-  [[nodiscard]] std::uint32_t num_cores_of(std::uint32_t node) override;
-  [[nodiscard]] std::uint32_t node_of(RankId rank) const override;
-  /// Within-node moves only: the target seat must be free on the rank's
-  /// hosting node (cross-node moves go through migrate_rank).
-  void move_rank(RankId rank, CpuId to) override;
-  /// Same-node pairs only; throws a value-bearing error on a cross-node
-  /// pair.
-  void swap_ranks(RankId a, RankId b) override;
-  /// Cross-node rank migration: hands the process over between the node
-  /// kernels (priority travels by rewrite), reseats the rank in the
-  /// simulation core, and stalls it while its resident state crosses the
-  /// interconnect (MigrationCostModel). Same-node targets degrade to
-  /// move_rank.
-  void migrate_rank(RankId rank, std::uint32_t node, CpuId to) override;
   /// The run's accumulated rank-to-rank traffic (CommGraphObserver);
   /// empty before run().
   [[nodiscard]] const CommGraph* comm_graph() const override {
     return &comm_observer_.graph();
   }
-  void install_budgets(int per_node_budget) override;
-  void transfer_budget(std::uint32_t from, std::uint32_t to,
-                       int amount) override;
-  [[nodiscard]] int node_budget(std::uint32_t node) const override;
-
-  [[nodiscard]] os::KernelModel& node_kernel(std::uint32_t node) {
-    return *kernels_[node];
-  }
-  /// Node `node`'s derived chip configuration (== config().node.chip on a
-  /// homogeneous cluster).
-  [[nodiscard]] const smt::ChipConfig& node_chip(std::uint32_t node) const {
-    return chips_[node];
-  }
-  [[nodiscard]] const std::vector<std::uint32_t>& node_of_rank() const {
-    return placement_.node_of_rank;
-  }
   [[nodiscard]] const ClusterConfig& config() const { return config_; }
   /// The live link-contention state (read-only) — lets invariant checkers
   /// watch per-link busy-until monotonicity across a run.
   [[nodiscard]] const Interconnect& interconnect() const {
-    return interconnect_;
+    return cost_.interconnect();
   }
 
  private:
-  /// Throws a value-bearing InvalidArgument unless `rank` is in range.
-  void check_rank(RankId rank, const char* who) const;
-  /// Sum of effective priority levels over `node`'s engaged contexts.
-  [[nodiscard]] int priority_sum(std::uint32_t node) const;
+  mpisim::MessageCostModel& cost_model() override { return cost_; }
 
-  mpisim::Application app_;
-  ClusterPlacement placement_;
   ClusterConfig config_;
-  /// Derived per-node chips (chips_[n] == config_.node_chip(n)).
-  std::vector<smt::ChipConfig> chips_;
-  std::shared_ptr<smt::ThroughputSampler> sampler_;
-  /// One sampler per *distinct* node chip; samplers_[0] == sampler_ (the
-  /// base chip's). Extra shapes attach to sampler_'s shared cache — safe
-  /// across shapes because keys fold in smt::chip_shape_seed.
-  std::vector<std::shared_ptr<smt::ThroughputSampler>> samplers_;
-  /// chips_[n]'s sampler, indexed by node.
-  std::vector<smt::ThroughputSampler*> sampler_of_node_;
-  std::vector<std::unique_ptr<os::KernelModel>> kernels_;
-  Interconnect interconnect_;
-  MigrationCostModel migration_cost_;
+  ClusterCostModel cost_;
   CommGraphObserver comm_observer_;
-  /// Per-source-node migration accounting, folded into NodeStats by
-  /// run().
-  struct MigrationCounters {
-    std::uint64_t migrations = 0;
-    std::uint64_t bytes = 0;
-    SimTime stall = 0.0;
-  };
-  std::vector<MigrationCounters> migration_of_node_;
-  mpisim::BalancePolicy* policy_ = nullptr;
-  std::vector<mpisim::SimObserver*> observers_;
-  std::vector<Pid> pid_of_rank_;
-  /// Per-node priority-weight budgets; empty until install_budgets().
-  std::vector<int> budgets_;
-  bool ran_ = false;
-  /// Set while run() is live so set_rank_priority can notify the bus with
-  /// the current simulation time and invalidate cached rates.
-  mpisim::detail::Sim* sim_ = nullptr;
-  mpisim::ObserverBus* active_bus_ = nullptr;
 };
 
 }  // namespace smtbal::cluster

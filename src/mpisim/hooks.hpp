@@ -29,9 +29,13 @@
 //     priority levels per node and shift headroom between nodes, the
 //     analogue of redistributing a per-node power budget (arXiv
 //     1410.6824).
-// The widened calls are virtual with throwing/neutral defaults so narrow
-// control adapters (e.g. the two-level balancer's per-node view) keep
-// compiling; both engines override the full surface.
+//
+// One implementation serves the whole surface: MultiNodeEngine
+// (engine.hpp) defines every call once, node-indexed, and the flat Engine
+// and cluster::ClusterEngine are its one-node and M-node facades. The
+// optional calls are virtual with throwing/neutral defaults so NodeView —
+// the node-local view per-node inner controllers drive — implements only
+// priorities and the shape queries.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +45,7 @@
 
 #include "common/error.hpp"
 #include "common/types.hpp"
-#include "os/kernel.hpp"
+#include "mpisim/phase.hpp"
 #include "smt/priority.hpp"
 
 namespace smtbal::cluster {
@@ -49,8 +53,6 @@ class CommGraph;
 }  // namespace smtbal::cluster
 
 namespace smtbal::mpisim {
-
-struct Placement;
 
 /// Per-rank observations of one epoch. The time fields are the epoch's
 /// accumulations; ipc/decode_share/priority/cpu are snapshots at the
@@ -103,42 +105,22 @@ class EngineControl {
 
   [[nodiscard]] virtual const Placement& placement() const = 0;
   [[nodiscard]] virtual std::size_t num_ranks() const = 0;
-  [[nodiscard]] virtual os::KernelModel& kernel() = 0;
-
-  // --- widened actuation surface (defaults keep narrow adapters valid) ------
-
-  /// SMT contexts per core of the reference chip — node 0's shape on a
-  /// heterogeneous cluster. Seat-aware policies should prefer the
-  /// per-node accessors below.
-  [[nodiscard]] virtual std::uint32_t threads_per_core() const { return 2; }
 
   /// Number of cluster nodes behind this control (1 for the flat engine).
   [[nodiscard]] virtual std::uint32_t num_nodes() const { return 1; }
 
-  /// SMT contexts per core of `node`'s chip. Nodes may differ (mixed-width
-  /// clusters); the default assumes the uniform shape. Throws
-  /// InvalidArgument on an out-of-range node id.
+  /// SMT contexts per core of `node`'s chip (nodes may differ on a
+  /// mixed-width cluster). Throws InvalidArgument on an out-of-range node
+  /// id.
   [[nodiscard]] virtual std::uint32_t threads_per_core_of(
-      std::uint32_t node) const {
-    if (node >= num_nodes()) {
-      throw InvalidArgument("threads_per_core_of: node " +
-                            std::to_string(node) + " out of range [0, " +
-                            std::to_string(num_nodes()) + ")");
-    }
-    return threads_per_core();
-  }
+      std::uint32_t node) const = 0;
 
-  /// Number of cores on `node`'s chip. The default derives the uniform
-  /// shape from the kernel's CPU count. Throws InvalidArgument on an
+  /// Number of cores on `node`'s chip. Throws InvalidArgument on an
   /// out-of-range node id.
-  [[nodiscard]] virtual std::uint32_t num_cores_of(std::uint32_t node) {
-    if (node >= num_nodes()) {
-      throw InvalidArgument("num_cores_of: node " + std::to_string(node) +
-                            " out of range [0, " + std::to_string(num_nodes()) +
-                            ")");
-    }
-    return kernel().num_cpus() / threads_per_core();
-  }
+  [[nodiscard]] virtual std::uint32_t num_cores_of(
+      std::uint32_t node) const = 0;
+
+  // --- optional surface (defaults keep NodeView narrow) ---------------------
 
   /// The node hosting `rank`. Throws InvalidArgument on an out-of-range
   /// rank id.
@@ -185,7 +167,7 @@ class EngineControl {
 
   /// The accumulated rank-to-rank message-traffic graph of the run so
   /// far, or nullptr when the engine does not track one (flat engine,
-  /// narrow adapters). Never owning; valid until the run ends.
+  /// NodeView). Never owning; valid until the run ends.
   [[nodiscard]] virtual const cluster::CommGraph* comm_graph() const {
     return nullptr;
   }
@@ -221,6 +203,51 @@ class EngineControl {
     }
     return kUnlimitedBudget;
   }
+};
+
+/// Node-local view of an EngineControl, for per-node inner controllers
+/// (the two-level balancer, repartition's inner balancers): local rank ids
+/// 0..k-1 map onto the node's global ranks, placement() is the node's
+/// slice of the global within-node placement taken at construction, and
+/// the shape queries answer for the hosting node. Priorities only; the
+/// seat, migration and budget calls keep their throwing defaults.
+class NodeView final : public EngineControl {
+ public:
+  /// `global_ranks` are the global ids of the ranks `node` hosts, in local
+  /// id order.
+  NodeView(EngineControl& global, std::uint32_t node,
+           std::vector<std::size_t> global_ranks);
+
+  /// Points the view at the control of the current hook call.
+  void rebind(EngineControl& global) { global_ = &global; }
+
+  void set_rank_priority(RankId rank, int priority) override {
+    global_->set_rank_priority(global_id(rank), priority);
+  }
+  [[nodiscard]] int rank_priority(RankId rank) const override {
+    return global_->rank_priority(global_id(rank));
+  }
+  [[nodiscard]] const Placement& placement() const override {
+    return placement_;
+  }
+  [[nodiscard]] std::size_t num_ranks() const override {
+    return global_ranks_.size();
+  }
+  [[nodiscard]] std::uint32_t threads_per_core_of(
+      std::uint32_t node) const override;
+  [[nodiscard]] std::uint32_t num_cores_of(std::uint32_t node) const override;
+
+ private:
+  [[nodiscard]] RankId global_id(RankId local) const {
+    return RankId{static_cast<std::uint32_t>(global_ranks_[local.value()])};
+  }
+  /// Throws InvalidArgument unless `node` is the view's only node, 0.
+  void check_local_node(std::uint32_t node, const char* who) const;
+
+  EngineControl* global_;
+  std::uint32_t node_;
+  std::vector<std::size_t> global_ranks_;
+  Placement placement_;
 };
 
 /// Sum of the effective priority levels of `node`'s still-running ranks —

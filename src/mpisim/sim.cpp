@@ -481,8 +481,8 @@ void Sim::advance_rank(std::size_t rank) {
     }
     if (const auto* send = std::get_if<SendPhase>(&phase)) {
       const SimTime arrival =
-          cost_.arrival_time(now_, RankId{static_cast<std::uint32_t>(rank)},
-                             send->peer, send->bytes);
+          cost_.arrival_time(now_, node_of_rank_[rank],
+                             node_of_rank_[send->peer.value()], send->bytes);
       collectives_.post_send(static_cast<std::uint32_t>(rank),
                              send->peer.value(), send->tag, arrival);
       queue_.push(arrival, EventKind::kMsgArrival, send->peer.value(), 0,

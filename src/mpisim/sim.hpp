@@ -1,23 +1,23 @@
-// The multi-node simulation core behind Engine and cluster::ClusterEngine.
+// The multi-node event loop behind mpisim::MultiNodeEngine, the one
+// engine implementation that mpisim::Engine (one node) and
+// cluster::ClusterEngine (M nodes) are facades over.
 //
-// Historically the event loop lived inside engine.cpp and drove exactly
-// one chip + kernel. The cluster subsystem needs the *same* loop over M
-// nodes — each with its own smt::Chip, os::KernelModel and
-// ThroughputSampler — coupled by cross-node messages and global
-// collectives, so the loop is factored out here and parameterized over:
+// The loop drives M nodes — each with its own smt::Chip, os::KernelModel
+// and ThroughputSampler — coupled by cross-node messages and global
+// collectives, and is parameterized over:
 //
 //   * a vector of NodeCtx (per-node chip config / sampler / kernel);
 //     the flat engine passes exactly one;
 //   * a node_of_rank map alongside the within-node Placement;
-//   * a MessageCostModel that prices every point-to-point transfer and
-//     collective tree step — the seam where the cluster layer routes
-//     intra-node traffic through mpisim::Network and inter-node traffic
-//     through cluster::Interconnect (with link contention).
+//   * a MessageCostModel (network.hpp) that prices every point-to-point
+//     transfer and collective tree step — the seam where the cluster
+//     layer routes intra-node traffic through mpisim::Network and
+//     inter-node traffic through cluster::Interconnect (with link
+//     contention).
 //
 // With one node the generalisation is arithmetic-free: the same loads are
 // built, the same rates sampled, the same events pushed in the same
-// order, so single-node runs are bit-identical to the pre-split engine —
-// and a cluster of M=1 is bit-identical to the flat engine by
+// order, so a cluster of M=1 is bit-identical to the flat engine by
 // construction (tests/cluster_test.cpp locks this in).
 #pragma once
 
@@ -36,46 +36,9 @@
 
 namespace smtbal::mpisim {
 
-/// Prices message transfers for the simulation core. The flat engine uses
-/// NetworkCostModel (every transfer is intra-node); the cluster engine
-/// routes by placement and may mutate link-contention state on
-/// arrival_time calls (invoked exactly once per send, in deterministic
-/// simulation order).
-class MessageCostModel {
- public:
-  virtual ~MessageCostModel() = default;
-
-  /// Arrival time of a message from `src` to `dst` injected at
-  /// `send_time`. May be stateful (link contention).
-  virtual SimTime arrival_time(SimTime send_time, RankId src, RankId dst,
-                               std::uint64_t bytes) = 0;
-
-  /// Cost of one point-to-point step of a global collective's binomial
-  /// tree. Must be stateless (called per arriving rank).
-  virtual SimTime collective_step_cost(std::uint64_t bytes) = 0;
-};
-
-/// The flat engine's cost model: every rank shares one node, so every
-/// transfer goes through the intra-node Network.
-class NetworkCostModel final : public MessageCostModel {
- public:
-  explicit NetworkCostModel(NetworkConfig config) : network_(config) {}
-
-  SimTime arrival_time(SimTime send_time, RankId /*src*/, RankId /*dst*/,
-                       std::uint64_t bytes) override {
-    return network_.arrival_time(send_time, bytes);
-  }
-  SimTime collective_step_cost(std::uint64_t bytes) override {
-    return network_.arrival_time(0.0, bytes);
-  }
-
- private:
-  Network network_;
-};
-
 namespace detail {
 
-/// One simulated node, owned by the caller (Engine or ClusterEngine).
+/// One simulated node, owned by the calling MultiNodeEngine.
 /// The Sim reads the chip config, samples rates through the sampler and
 /// queries/mutates the kernel's process table; all three must outlive the
 /// run.
@@ -127,7 +90,7 @@ class Sim final : public CollectiveClient, public AuditSource {
   /// changed context words and re-derives the node's rates.
   void notify_placement_change(RankId rank, CpuId from, CpuId to);
 
-  /// ClusterEngine::migrate_rank moved a rank to a (free) seat on another
+  /// EngineControl::migrate_rank moved a rank to a (free) seat on another
   /// node while the run is live. The engine's node/placement/pid maps are
   /// already flipped; this rebinds the per-node rank lists and context
   /// maps, invalidates the rank's prediction, and — when `resume_at` lies

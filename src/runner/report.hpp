@@ -5,10 +5,10 @@
 // doubles are printed with round-trip precision, and scheduling-dependent
 // data (wall time, sampler hit counters) is deliberately excluded from
 // them. Sampler/cache efficiency is surfaced instead by a single trailing
-// batch-summary record (schema smtbal.bench.batch/1) — the one
+// batch-summary record (schema smtbal.bench.batch/2) — the one
 // scheduling-dependent line in the file. To diff two JSONL files produced
 // with different worker counts, drop that trailer first (e.g.
-// `grep -v '"schema":"smtbal.bench.batch/1"'`).
+// `grep -v '"schema":"smtbal.bench.batch/2"'`).
 #pragma once
 
 #include <ostream>
@@ -30,7 +30,7 @@ namespace smtbal::runner {
 [[nodiscard]] std::string to_json_record(
     const RunOutcome& outcome, const std::vector<std::uint32_t>& node_of_rank);
 
-/// Serialises the batch summary (schema smtbal.bench.batch/1): jobs,
+/// Serialises the batch summary (schema smtbal.bench.batch/2): jobs,
 /// run/failure counts and the aggregate SamplerStats / SampleCacheStats
 /// (lookups, misses, shared hits, hit rate). Scheduling-dependent —
 /// observe cache behaviour across --jobs values with it, never diff it.
