@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "common/error.hpp"
 
 namespace smtbal::isa {
@@ -33,6 +35,10 @@ struct BadField {
   const char* label;
   void (*mutate)(KernelParams&);
 };
+
+// Without a printer gtest lists the parameter as its raw bytes, which hold
+// two code addresses, so the listed test names changed from run to run.
+void PrintTo(const BadField& field, std::ostream* os) { *os << field.label; }
 
 class KernelParamsBadField : public ::testing::TestWithParam<BadField> {};
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "common/error.hpp"
 
 namespace smtbal::smt {
@@ -16,6 +18,13 @@ struct TableOneRow {
   PrivilegeLevel privilege;
   const char* ornop;  // nullptr = no or-nop form
 };
+
+// Without a printer gtest lists the parameter as its raw bytes (padding and a
+// string address included), so the listed test names changed from run to run.
+void PrintTo(const TableOneRow& row, std::ostream* os) {
+  *os << "priority " << row.priority << ", " << to_string(row.privilege) << ", "
+      << (row.ornop != nullptr ? row.ornop : "no or-nop");
+}
 
 class TableOne : public ::testing::TestWithParam<TableOneRow> {};
 
