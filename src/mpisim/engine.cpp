@@ -361,6 +361,10 @@ int MultiNodeEngine::node_budget(std::uint32_t node) const {
 RunResult MultiNodeEngine::run_nodes(SimObserver* extra) {
   SMTBAL_REQUIRE(!ran_, "run() may be called only once per engine");
   ran_ = true;
+  std::vector<smt::SamplerStats> sampler_start;
+  for (const auto& sampler : samplers_) {
+    sampler_start.push_back(sampler->stats());
+  }
 
   ObserverBus bus;
   for (SimObserver* observer : observers_) bus.attach(observer);
@@ -408,12 +412,10 @@ RunResult MultiNodeEngine::run_nodes(SimObserver* extra) {
   for (const auto& kernel : kernels_) {
     result.priority_resets += kernel->priority_resets();
   }
-  for (const auto& sampler : samplers_) {
-    const smt::SamplerStats& sampled = sampler->stats();
-    result.sampler_stats.lookups += sampled.lookups;
-    result.sampler_stats.misses += sampled.misses;
-    result.sampler_stats.shared_hits += sampled.shared_hits;
-    result.sampler_stats.local_hits += sampled.local_hits;
+  // The samplers outlive this run (a batch worker reuses one across its
+  // runs), so report this run's share: end counters minus start counters.
+  for (std::size_t i = 0; i < samplers_.size(); ++i) {
+    result.sampler_stats += samplers_[i]->stats().since(sampler_start[i]);
   }
   result.metrics = metrics_observer.take();
   return result;

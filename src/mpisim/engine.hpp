@@ -80,6 +80,8 @@ struct RunResult {
   double imbalance = 0.0;
   std::uint64_t events = 0;
   std::uint64_t priority_resets = 0;
+  /// This run's own sampler activity, summed over the engine's samplers:
+  /// each sampler's counters at the end of run() minus those at its start.
   smt::SamplerStats sampler_stats;
   MetricsReport metrics;
 

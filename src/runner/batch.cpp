@@ -174,28 +174,10 @@ BatchResult BatchRunner::run(const std::vector<RunSpec>& specs) const {
     }
     batch.exec_time.add(out.result->exec_time);
     batch.imbalance.add(out.result->imbalance);
+    batch.sampler_stats += out.result->sampler_stats;
   }
   for (const SamplerDomain& domain : domains) {
-    if (domain.cache == nullptr) continue;
-    const smt::SampleCacheStats stats = domain.cache->stats();
-    batch.cache_stats.hits += stats.hits;
-    batch.cache_stats.misses += stats.misses;
-    batch.cache_stats.inserts += stats.inserts;
-    batch.cache_stats.evictions += stats.evictions;
-    // Peak sizes of independent domains do not sum (they peak at
-    // different moments); report the largest single-domain high-water.
-    batch.cache_stats.peak_size =
-        std::max(batch.cache_stats.peak_size, stats.peak_size);
-  }
-  for (const auto& worker_samplers : samplers) {
-    for (const auto& sampler : worker_samplers) {
-      if (sampler == nullptr) continue;
-      const smt::SamplerStats& stats = sampler->stats();
-      batch.sampler_stats.lookups += stats.lookups;
-      batch.sampler_stats.misses += stats.misses;
-      batch.sampler_stats.shared_hits += stats.shared_hits;
-      batch.sampler_stats.local_hits += stats.local_hits;
-    }
+    if (domain.cache != nullptr) batch.cache_stats.merge(domain.cache->stats());
   }
   return batch;
 }

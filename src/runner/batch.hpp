@@ -103,9 +103,10 @@ struct BatchResult {
   /// Scheduling-dependent (see the determinism note above): report these,
   /// never compare them across runs.
   smt::SampleCacheStats cache_stats;
-  /// Aggregate sampler counters summed over every worker-local sampler:
-  /// lookups, cycle-level measurements actually run (misses), and local
-  /// misses served by the shared cache. Scheduling-dependent, like
+  /// Aggregate sampler counters: the spec-order sum of every successful
+  /// run's RunResult::sampler_stats (lookups, cycle-level measurements
+  /// actually run, local misses served by the shared cache), node-shape
+  /// samplers of cluster runs included. Scheduling-dependent, like
   /// cache_stats.
   smt::SamplerStats sampler_stats;
 };

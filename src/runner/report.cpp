@@ -1,7 +1,6 @@
 #include "runner/report.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -11,100 +10,52 @@ namespace smtbal::runner {
 
 namespace {
 
-/// Round-trip double formatting: %.17g prints the shortest digit string
-/// that recovers the exact bits, so equal doubles always print equally.
-std::string json_num(double value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
+using jsonl::Writer;
+
+void add_histogram(Writer& w, std::string_view key,
+                   const mpisim::DurationHistogram& histogram) {
+  w.array(key);
+  for (const std::uint64_t count : histogram.counts) w.push(count);
+  w.end();
 }
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-std::string json_histogram(const mpisim::DurationHistogram& histogram) {
-  std::string out = "[";
-  for (std::size_t b = 0; b < mpisim::DurationHistogram::kBuckets; ++b) {
-    if (b > 0) out += ',';
-    out += std::to_string(histogram.counts[b]);
-  }
-  out += ']';
-  return out;
-}
-
-namespace {
 
 /// Shared body of the run/2 (flat) and run/3 (cluster) records. The
 /// cluster variant adds a "node" field per rank and a per-node aggregate
 /// array; the flat record is byte-for-byte what it always was.
 std::string json_run_record(const RunOutcome& outcome,
                             const std::vector<std::uint32_t>* node_of_rank) {
-  std::ostringstream os;
-  os << "{\"schema\":\"smtbal.bench.run/"
-     << (node_of_rank == nullptr ? 2 : 3) << "\",\"label\":\""
-     << json_escape(outcome.label) << "\",\"index\":" << outcome.index
-     << ",\"ok\":" << (outcome.ok ? "true" : "false");
-  if (!outcome.ok) {
-    os << ",\"error\":\"" << json_escape(outcome.error) << "\"}";
-    return os.str();
-  }
+  Writer w("schema",
+           node_of_rank ? "smtbal.bench.run/3" : "smtbal.bench.run/2",
+           "label", outcome.label, "index", outcome.index, "ok", outcome.ok);
+  if (!outcome.ok) return w.add("error", outcome.error).finish();
   const mpisim::RunResult& r = *outcome.result;
-  os << ",\"exec_time\":" << json_num(r.exec_time)
-     << ",\"imbalance\":" << json_num(r.imbalance) << ",\"events\":" << r.events
-     << ",\"priority_resets\":" << r.priority_resets << ",\"epochs\":"
-     << r.metrics.epochs << ",\"events_by_kind\":{";
+  w.add("exec_time", r.exec_time, "imbalance", r.imbalance, "events",
+        r.events, "priority_resets", r.priority_resets, "epochs",
+        r.metrics.epochs);
+  w.object("events_by_kind");
   for (std::size_t k = 0; k < mpisim::kNumEventKinds; ++k) {
-    if (k > 0) os << ',';
-    os << '"' << mpisim::to_string(static_cast<mpisim::EventKind>(k))
-       << "\":" << r.metrics.events_by_kind[k];
+    w.add(mpisim::to_string(static_cast<mpisim::EventKind>(k)),
+          r.metrics.events_by_kind[k]);
   }
-  os << "},\"ranks\":[";
+  w.end().array("ranks");
   for (std::size_t rank = 0; rank < r.trace.num_ranks(); ++rank) {
     const trace::RankStats stats = r.trace.stats(RankId{
         static_cast<std::uint32_t>(rank)});
-    if (rank > 0) os << ',';
-    os << '{';
-    if (node_of_rank != nullptr) {
-      os << "\"node\":" << (*node_of_rank)[rank] << ',';
-    }
-    os << "\"comp_fraction\":" << json_num(stats.comp_fraction())
-       << ",\"sync_fraction\":" << json_num(stats.sync_fraction());
+    w.object();
+    if (node_of_rank != nullptr) w.add("node", (*node_of_rank)[rank]);
+    w.add("comp_fraction", stats.comp_fraction(), "sync_fraction",
+          stats.sync_fraction());
     if (rank < r.metrics.ranks.size()) {
       const mpisim::RankMetrics& m = r.metrics.ranks[rank];
-      os << ",\"compute_s\":" << json_num(m.compute)
-         << ",\"wait_s\":" << json_num(m.wait)
-         << ",\"spin_s\":" << json_num(m.spin)
-         << ",\"preempted_s\":" << json_num(m.preempted)
-         << ",\"priority_changes\":" << m.priority_changes
-         << ",\"compute_interval_hist\":" << json_histogram(m.compute_intervals)
-         << ",\"wait_interval_hist\":" << json_histogram(m.wait_intervals);
+      w.add("compute_s", m.compute, "wait_s", m.wait, "spin_s", m.spin,
+            "preempted_s", m.preempted, "priority_changes",
+            m.priority_changes);
+      add_histogram(w, "compute_interval_hist", m.compute_intervals);
+      add_histogram(w, "wait_interval_hist", m.wait_intervals);
     }
-    os << '}';
+    w.end();
   }
-  os << ']';
+  w.end();
   if (node_of_rank != nullptr) {
     // Per-node aggregates of the per-rank metrics.
     std::uint32_t num_nodes = 0;
@@ -133,29 +84,39 @@ std::string json_run_record(const RunOutcome& outcome,
     for (const cluster::NodeStats& stats : outcome.node_stats) {
       if (stats.migrations > 0) any_migrations = true;
     }
-    os << ",\"nodes\":[";
+    w.array("nodes");
     for (std::size_t n = 0; n < nodes.size(); ++n) {
-      if (n > 0) os << ',';
-      os << "{\"ranks\":" << nodes[n].ranks
-         << ",\"compute_s\":" << json_num(nodes[n].compute)
-         << ",\"wait_s\":" << json_num(nodes[n].wait)
-         << ",\"spin_s\":" << json_num(nodes[n].spin)
-         << ",\"preempted_s\":" << json_num(nodes[n].preempted);
+      w.object().add("ranks", nodes[n].ranks, "compute_s", nodes[n].compute,
+                     "wait_s", nodes[n].wait, "spin_s", nodes[n].spin,
+                     "preempted_s", nodes[n].preempted);
       if (any_migrations && n < outcome.node_stats.size()) {
         const cluster::NodeStats& stats = outcome.node_stats[n];
-        os << ",\"migrations\":" << stats.migrations
-           << ",\"bytes_migrated\":" << stats.bytes_migrated
-           << ",\"migration_stall_s\":" << json_num(stats.migration_stall);
+        w.add("migrations", stats.migrations, "bytes_migrated",
+              stats.bytes_migrated, "migration_stall_s",
+              stats.migration_stall);
       }
-      os << '}';
+      w.end();
     }
-    os << ']';
+    w.end();
   }
-  os << '}';
-  return os.str();
+  return w.finish();
 }
 
 }  // namespace
+
+void add_sampler_objects(jsonl::Writer& w, const smt::SamplerStats& sampler,
+                         const smt::SampleCacheStats& cache) {
+  w.object("sampler")
+      .add("lookups", sampler.lookups, "misses", sampler.misses,
+           "shared_hits", sampler.shared_hits, "local_hits",
+           sampler.local_hits)
+      .end()
+      .object("sample_cache")
+      .add("hits", cache.hits, "misses", cache.misses, "inserts",
+           cache.inserts, "evictions", cache.evictions, "peak_size",
+           cache.peak_size, "hit_rate", cache.hit_rate())
+      .end();
+}
 
 std::string to_json_record(const RunOutcome& outcome) {
   return json_run_record(outcome, nullptr);
@@ -167,26 +128,14 @@ std::string to_json_record(const RunOutcome& outcome,
 }
 
 std::string to_json_batch_record(const BatchResult& batch) {
-  std::ostringstream os;
-  const smt::SamplerStats& sampler = batch.sampler_stats;
-  const smt::SampleCacheStats& cache = batch.cache_stats;
   // Schema /2: local_hits is now the sampler's own explicit counter. The
   // /1 trailer derived it as lookups - misses - shared_hits, which counts
   // a shared-hit promotion's later local hits and cold local hits as one
   // bucket — wrong whenever a shared cache is attached.
-  os << "{\"schema\":\"smtbal.bench.batch/2\",\"jobs\":" << batch.jobs
-     << ",\"runs\":" << batch.runs.size()
-     << ",\"failures\":" << batch.failures
-     << ",\"sampler\":{\"lookups\":" << sampler.lookups
-     << ",\"misses\":" << sampler.misses
-     << ",\"shared_hits\":" << sampler.shared_hits
-     << ",\"local_hits\":" << sampler.local_hits
-     << "},\"sample_cache\":{\"hits\":" << cache.hits
-     << ",\"misses\":" << cache.misses << ",\"inserts\":" << cache.inserts
-     << ",\"evictions\":" << cache.evictions
-     << ",\"peak_size\":" << cache.peak_size
-     << ",\"hit_rate\":" << json_num(cache.hit_rate()) << "}}";
-  return os.str();
+  Writer w("schema", "smtbal.bench.batch/2", "jobs", batch.jobs, "runs",
+           batch.runs.size(), "failures", batch.failures);
+  add_sampler_objects(w, batch.sampler_stats, batch.cache_stats);
+  return w.finish();
 }
 
 void write_jsonl(const BatchResult& batch, std::ostream& os) {
@@ -210,15 +159,15 @@ std::string describe(const BatchResult& batch) {
      << (batch.jobs == 1 ? "" : "s");
   if (batch.failures > 0) os << ", " << batch.failures << " FAILED";
   if (batch.exec_time.count() > 0) {
-    os << "; exec time mean " << json_num(batch.exec_time.mean()) << " s (min "
-       << json_num(batch.exec_time.min()) << ", max "
-       << json_num(batch.exec_time.max()) << ')';
+    os << "; exec time mean " << jsonl::json_num(batch.exec_time.mean())
+       << " s (min " << jsonl::json_num(batch.exec_time.min()) << ", max "
+       << jsonl::json_num(batch.exec_time.max()) << ')';
   }
   const smt::SampleCacheStats& cache = batch.cache_stats;
   if (cache.hits + cache.misses > 0) {
     os << "; shared sampler cache: " << cache.inserts << " measured, "
-       << cache.hits << " hits (" << json_num(cache.hit_rate() * 100.0)
-       << "% hit rate)";
+       << cache.hits << " hits ("
+       << jsonl::json_num(cache.hit_rate() * 100.0) << "% hit rate)";
   }
   return os.str();
 }

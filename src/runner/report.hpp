@@ -14,6 +14,7 @@
 #include <ostream>
 #include <string>
 
+#include "common/jsonl.hpp"
 #include "runner/batch.hpp"
 
 namespace smtbal::runner {
@@ -35,6 +36,11 @@ namespace smtbal::runner {
 /// (lookups, misses, shared hits, hit rate). Scheduling-dependent —
 /// observe cache behaviour across --jobs values with it, never diff it.
 [[nodiscard]] std::string to_json_batch_record(const BatchResult& batch);
+
+/// Adds the "sampler":{...} and "sample_cache":{...} objects shared by
+/// the smtbal.bench.batch/2 and smtbal.evalresp.batch/1 trailers.
+void add_sampler_objects(jsonl::Writer& w, const smt::SamplerStats& sampler,
+                         const smt::SampleCacheStats& cache);
 
 /// Writes one record per line, spec order (the BENCH_*.json convention:
 /// one JSONL file per bench binary), then the batch-summary record as the

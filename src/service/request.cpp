@@ -1,6 +1,5 @@
 #include "service/request.hpp"
 
-#include <cstdio>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -13,12 +12,10 @@ namespace smtbal::service {
 namespace {
 
 using jsonl::Record;
-using jsonl::fail;
 
-StatSelection parse_stats(const std::string& list, std::string_view source,
-                          std::size_t line) {
+StatSelection parse_stats(const Record& record) {
   StatSelection stats{false, false, false, false};
-  std::istringstream items(list);
+  std::istringstream items(record.string("stats"));
   bool any = false;
   for (std::string item; std::getline(items, item, ',');) {
     if (item == "exec_time") {
@@ -30,15 +27,12 @@ StatSelection parse_stats(const std::string& list, std::string_view source,
     } else if (item == "priority_resets") {
       stats.priority_resets = true;
     } else {
-      fail(source, line,
-           "unknown stat '" + item +
-               "' (known: exec_time, imbalance, events, priority_resets)");
+      record.fail("unknown stat '" + item +
+                  "' (known: exec_time, imbalance, events, priority_resets)");
     }
     any = true;
   }
-  if (!any) {
-    fail(source, line, "field \"stats\" must name at least one stat");
-  }
+  if (!any) record.fail("field \"stats\" must name at least one stat");
   return stats;
 }
 
@@ -62,94 +56,78 @@ std::vector<EvalRequest> parse_requests(std::istream& in,
   std::vector<EvalRequest> requests;
   std::set<std::string> seen_ids;
   bool have_meta = false;
-  std::string line_text;
-  std::size_t line = 0;
-  while (std::getline(in, line_text)) {
-    ++line;
-    if (line_text.find_first_not_of(" \t\r") == std::string::npos) continue;
-    if (!line_text.empty() && line_text.back() == '\r') line_text.pop_back();
-    const Record record = jsonl::parse_flat_object(line_text, source, line);
-    const std::string schema =
-        jsonl::require_string(record, "schema", source, line);
-    if (schema != kEvalRequestSchema) {
-      fail(source, line,
-           "unsupported schema '" + schema + "' (expected '" +
-               std::string(kEvalRequestSchema) + "')");
-    }
-    const std::string type = jsonl::require_string(record, "type", source, line);
+  const auto parse_one = [&](const Record& record) {
+    const std::string type = record.string("type");
     if (type == "meta") {
-      if (have_meta) fail(source, line, "duplicate meta record");
+      if (have_meta) record.fail("duplicate meta record");
       have_meta = true;
-      continue;
+      return;
     }
-    if (type != "eval") {
-      fail(source, line, "unknown record type '" + type + "'");
-    }
-    if (!have_meta) {
-      fail(source, line, "eval record before the meta record");
+    if (type != "eval") record.fail("unknown record type '" + type + "'");
+    if (!have_meta) record.fail("eval record before the meta record");
+    if (const auto key = record.unknown_key({"schema", "type", "id", "scenario",
+                                             "trace", "policy", "lane",
+                                             "stats", "cores", "smt"})) {
+      record.fail("unknown field \"" + *key +
+                  "\" in an eval record (known: id, scenario, trace, policy, "
+                  "lane, stats, cores, smt)");
     }
     EvalRequest request;
-    request.id = jsonl::require_string(record, "id", source, line);
-    if (request.id.empty()) fail(source, line, "field \"id\" must not be empty");
+    request.id = record.string("id");
+    if (request.id.empty()) record.fail("field \"id\" must not be empty");
     if (!seen_ids.insert(request.id).second) {
-      fail(source, line, "duplicate request id '" + request.id + "'");
+      record.fail("duplicate request id '" + request.id + "'");
     }
-    const bool has_scenario = record.count("scenario") != 0;
-    const bool has_trace = record.count("trace") != 0;
-    if (has_scenario == has_trace) {
-      fail(source, line,
-           "an eval record needs exactly one of \"scenario\" and \"trace\"");
+    if (record.has("scenario") == record.has("trace")) {
+      record.fail(
+          "an eval record needs exactly one of \"scenario\" and \"trace\"");
     }
-    if (has_scenario) {
-      request.scenario = jsonl::require_string(record, "scenario", source, line);
-      if (record.count("cores") || record.count("smt")) {
-        fail(source, line,
-             "\"cores\"/\"smt\" apply to trace requests only (a scenario "
-             "carries its own shape)");
+    if (record.has("scenario")) {
+      request.scenario = record.string("scenario");
+      if (record.has("cores") || record.has("smt")) {
+        record.fail(
+            "\"cores\"/\"smt\" apply to trace requests only (a scenario "
+            "carries its own shape)");
       }
     } else {
-      request.trace_path = jsonl::require_string(record, "trace", source, line);
+      request.trace_path = record.string("trace");
       if (request.trace_path.empty()) {
-        fail(source, line, "field \"trace\" must not be empty");
+        record.fail("field \"trace\" must not be empty");
       }
-      if (record.count("cores")) {
-        request.cores = static_cast<std::uint32_t>(
-            jsonl::require_count(record, "cores", source, line));
+      if (record.has("cores")) {
+        const std::uint64_t cores = record.count("cores");
+        if (cores > UINT32_MAX) record.fail("field \"cores\" is out of range");
+        request.cores = static_cast<std::uint32_t>(cores);
       }
-      if (record.count("smt")) {
-        const std::uint64_t smt =
-            jsonl::require_count(record, "smt", source, line);
-        if (smt != 2 && smt != 4) {
-          fail(source, line, "field \"smt\" must be 2 or 4");
-        }
+      if (record.has("smt")) {
+        const std::uint64_t smt = record.count("smt");
+        if (smt != 2 && smt != 4) record.fail("field \"smt\" must be 2 or 4");
         request.smt = static_cast<std::uint32_t>(smt);
       }
     }
-    if (record.count("policy")) {
-      request.policy = jsonl::require_string(record, "policy", source, line);
+    if (record.has("policy")) {
+      request.policy = record.string("policy");
       if (request.policy.empty()) {
-        fail(source, line,
-             "field \"policy\" must not be empty (use \"none\" for the "
-             "no-policy baseline)");
+        record.fail(
+            "field \"policy\" must not be empty (use \"none\" for the "
+            "no-policy baseline)");
       }
     }
-    if (record.count("lane")) {
-      const std::string lane = jsonl::require_string(record, "lane", source, line);
+    if (record.has("lane")) {
+      const std::string lane = record.string("lane");
       if (lane == "interactive") {
         request.lane = Lane::kInteractive;
       } else if (lane == "batch") {
         request.lane = Lane::kBatch;
       } else {
-        fail(source, line,
-             "unknown lane '" + lane + "' (expected interactive or batch)");
+        record.fail("unknown lane '" + lane +
+                    "' (expected interactive or batch)");
       }
     }
-    if (record.count("stats")) {
-      request.stats = parse_stats(
-          jsonl::require_string(record, "stats", source, line), source, line);
-    }
+    if (record.has("stats")) request.stats = parse_stats(record);
     requests.push_back(std::move(request));
-  }
+  };
+  jsonl::for_each_record(in, source, kEvalRequestSchema, parse_one);
   if (!have_meta) {
     throw InvalidArgument(std::string(source) +
                           ": empty request feed (no meta record)");
@@ -166,32 +144,19 @@ std::vector<EvalRequest> parse_requests_file(const std::string& path) {
 }
 
 std::string to_json_record(const EvalResponse& response) {
-  std::ostringstream os;
-  os << "{\"schema\":\"" << kEvalResponseSchema
-     << "\",\"type\":\"result\",\"id\":\"" << jsonl::json_escape(response.id)
-     << "\",\"status\":\"" << to_string(response.status) << "\"";
-  if (response.status == Status::kOk) {
-    char key_hex[32];
-    std::snprintf(key_hex, sizeof key_hex, "0x%016llx",
-                  static_cast<unsigned long long>(response.key));
-    os << ",\"key\":\"" << key_hex << "\"";
-    if (response.stats.exec_time) {
-      os << ",\"exec_time\":" << jsonl::json_num(response.result.exec_time);
-    }
-    if (response.stats.imbalance) {
-      os << ",\"imbalance\":" << jsonl::json_num(response.result.imbalance);
-    }
-    if (response.stats.events) {
-      os << ",\"events\":" << response.result.events;
-    }
-    if (response.stats.priority_resets) {
-      os << ",\"priority_resets\":" << response.result.priority_resets;
-    }
-  } else {
-    os << ",\"error\":\"" << jsonl::json_escape(response.error) << "\"";
+  jsonl::Writer w("schema", kEvalResponseSchema, "type", "result", "id",
+                  response.id, "status", to_string(response.status));
+  if (response.status != Status::kOk) {
+    return w.add("error", response.error).finish();
   }
-  os << "}";
-  return os.str();
+  w.add("key", jsonl::hex64(response.key));
+  if (response.stats.exec_time) w.add("exec_time", response.result.exec_time);
+  if (response.stats.imbalance) w.add("imbalance", response.result.imbalance);
+  if (response.stats.events) w.add("events", response.result.events);
+  if (response.stats.priority_resets) {
+    w.add("priority_resets", response.result.priority_resets);
+  }
+  return w.finish();
 }
 
 }  // namespace smtbal::service

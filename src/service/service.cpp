@@ -8,6 +8,7 @@
 #include "common/jsonl.hpp"
 #include "core/static_policy.hpp"
 #include "policy/registry.hpp"
+#include "runner/report.hpp"
 #include "simcheck/scenario.hpp"
 #include "workloads/trace_replay.hpp"
 
@@ -312,10 +313,7 @@ void EvalService::process_wave(std::vector<Job> wave) {
   stats_.deduped += local_deduped;
   stats_.failed += local_failed;
   stats_.evaluated += pending.size();
-  stats_.sampler.lookups += wave_sampler.lookups;
-  stats_.sampler.misses += wave_sampler.misses;
-  stats_.sampler.shared_hits += wave_sampler.shared_hits;
-  stats_.sampler.local_hits += wave_sampler.local_hits;
+  stats_.sampler += wave_sampler;
 }
 
 std::shared_ptr<smt::SampleCache> EvalService::domain_cache(
@@ -372,13 +370,7 @@ ServiceStats EvalService::stats() const {
   {
     const std::lock_guard<std::mutex> lock(domains_mutex_);
     for (const Domain& domain : domains_) {
-      const smt::SampleCacheStats cache = domain.cache->stats();
-      stats.cache.hits += cache.hits;
-      stats.cache.misses += cache.misses;
-      stats.cache.inserts += cache.inserts;
-      stats.cache.evictions += cache.evictions;
-      stats.cache.peak_size = std::max(stats.cache.peak_size, cache.peak_size);
-      stats.cache.divergent += cache.divergent;
+      stats.cache.merge(domain.cache->stats());
     }
   }
   return stats;
@@ -386,30 +378,19 @@ ServiceStats EvalService::stats() const {
 
 std::string EvalService::trailer() const {
   const ServiceStats s = stats();
-  std::ostringstream os;
-  os << "{\"schema\":\"" << kServiceTrailerSchema
-     << "\",\"workers\":" << config_.workers
-     << ",\"max_queue\":" << config_.max_queue
-     << ",\"interactive_reserve\":" << config_.interactive_reserve
-     << ",\"cache_capacity\":" << config_.cache_capacity
-     << ",\"submitted\":" << s.submitted << ",\"rejected\":" << s.rejected
-     << ",\"failed\":" << s.failed << ",\"served\":" << s.served
-     << ",\"evaluated\":" << s.evaluated << ",\"deduped\":" << s.deduped
-     << ",\"waves\":" << s.waves << ",\"store\":{\"hits\":" << s.store.hits
-     << ",\"misses\":" << s.store.misses
-     << ",\"collisions\":" << s.store.collisions
-     << ",\"inserts\":" << s.store.inserts << ",\"loaded\":" << s.store.loaded
-     << ",\"hit_rate\":" << jsonl::json_num(s.store.hit_rate())
-     << "},\"sampler\":{\"lookups\":" << s.sampler.lookups
-     << ",\"misses\":" << s.sampler.misses
-     << ",\"shared_hits\":" << s.sampler.shared_hits
-     << ",\"local_hits\":" << s.sampler.local_hits
-     << "},\"sample_cache\":{\"hits\":" << s.cache.hits
-     << ",\"misses\":" << s.cache.misses << ",\"inserts\":" << s.cache.inserts
-     << ",\"evictions\":" << s.cache.evictions
-     << ",\"peak_size\":" << s.cache.peak_size
-     << ",\"hit_rate\":" << jsonl::json_num(s.cache.hit_rate()) << "}}";
-  return os.str();
+  jsonl::Writer w(
+      "schema", kServiceTrailerSchema, "workers", config_.workers, "max_queue",
+      config_.max_queue, "interactive_reserve", config_.interactive_reserve,
+      "cache_capacity", config_.cache_capacity, "submitted", s.submitted,
+      "rejected", s.rejected, "failed", s.failed, "served", s.served,
+      "evaluated", s.evaluated, "deduped", s.deduped, "waves", s.waves);
+  w.object("store")
+      .add("hits", s.store.hits, "misses", s.store.misses, "collisions",
+           s.store.collisions, "inserts", s.store.inserts, "loaded",
+           s.store.loaded, "hit_rate", s.store.hit_rate())
+      .end();
+  runner::add_sampler_objects(w, s.sampler, s.cache);
+  return w.finish();
 }
 
 }  // namespace smtbal::service

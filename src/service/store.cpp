@@ -1,7 +1,6 @@
 #include "service/store.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 
 #include "common/error.hpp"
@@ -9,38 +8,6 @@
 #include "smt/sampler.hpp"
 
 namespace smtbal::service {
-
-namespace {
-
-std::string key_hex(std::uint64_t key) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "0x%016llx",
-                static_cast<unsigned long long>(key));
-  return buffer;
-}
-
-/// Parses the journal's "0x%016x" key field back to the integer.
-std::optional<std::uint64_t> parse_key_hex(const std::string& text) {
-  if (text.size() != 18 || text[0] != '0' || text[1] != 'x') {
-    return std::nullopt;
-  }
-  std::uint64_t key = 0;
-  for (std::size_t i = 2; i < text.size(); ++i) {
-    const char c = text[i];
-    std::uint64_t digit = 0;
-    if (c >= '0' && c <= '9') {
-      digit = static_cast<std::uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      digit = static_cast<std::uint64_t>(c - 'a') + 10;
-    } else {
-      return std::nullopt;
-    }
-    key = key << 4 | digit;
-  }
-  return key;
-}
-
-}  // namespace
 
 std::uint64_t canonical_key(std::string_view canonical) {
   // The ChipLoad::key() chain mix, word-for-word: seed from the length,
@@ -67,68 +34,35 @@ void ResultStore::open(const std::string& path) {
                  "ResultStore::open must precede lookups and publishes");
 
   // Replay the journal, if one exists (a fresh path is not an error).
-  {
-    std::ifstream in(path);
-    if (in) {
-      std::string line_text;
-      std::size_t line = 0;
-      while (std::getline(in, line_text)) {
-        ++line;
-        if (line_text.find_first_not_of(" \t\r") == std::string::npos) continue;
-        if (!line_text.empty() && line_text.back() == '\r') {
-          line_text.pop_back();
-        }
-        const jsonl::Record record =
-            jsonl::parse_flat_object(line_text, path, line);
-        const std::string schema =
-            jsonl::require_string(record, "schema", path, line);
-        if (schema != kStoreSchema) {
-          jsonl::fail(path, line,
-                      "unsupported schema '" + schema + "' (expected '" +
-                          std::string(kStoreSchema) + "')");
-        }
-        const std::string type =
-            jsonl::require_string(record, "type", path, line);
-        if (type != "entry") {
-          jsonl::fail(path, line, "unknown record type '" + type + "'");
-        }
-        const std::string key_text =
-            jsonl::require_string(record, "key", path, line);
-        const std::optional<std::uint64_t> key = parse_key_hex(key_text);
-        if (!key) {
-          jsonl::fail(path, line,
-                      "field \"key\" is not a 0x-prefixed 16-digit hex "
-                      "value: '" +
-                          key_text + "'");
-        }
-        Entry entry;
-        entry.canonical = jsonl::require_string(record, "request", path, line);
-        if (*key != canonical_key(entry.canonical)) {
-          jsonl::fail(path, line,
-                      "key " + key_text +
-                          " does not re-derive from the stored request "
-                          "(corrupted entry)");
-        }
-        entry.result.exec_time =
-            jsonl::require_number(record, "exec_time", path, line);
-        entry.result.imbalance =
-            jsonl::require_number(record, "imbalance", path, line);
-        entry.result.events =
-            jsonl::require_count(record, "events", path, line);
-        entry.result.priority_resets =
-            jsonl::require_count(record, "priority_resets", path, line);
-        const auto it = entries_.find(*key);
-        if (it != entries_.end() && it->second.canonical != entry.canonical) {
-          jsonl::fail(path, line,
-                      "key " + key_text +
-                          " already loaded for a different request "
-                          "(corrupted journal)");
-        }
-        if (it == entries_.end()) entries_.emplace(*key, std::move(entry));
-        ++stats_.loaded;
-      }
+  const auto load = [&](const jsonl::Record& record) {
+    const std::string type = record.string("type");
+    if (type != "entry") record.fail("unknown record type '" + type + "'");
+    const std::string key_text = record.string("key");
+    const std::optional<std::uint64_t> key = jsonl::parse_hex64(key_text);
+    if (!key) {
+      record.fail("field \"key\" is not a 0x-prefixed 16-digit hex value: '" +
+                  key_text + "'");
     }
-  }
+    Entry entry;
+    entry.canonical = record.string("request");
+    if (*key != canonical_key(entry.canonical)) {
+      record.fail("key " + key_text +
+                  " does not re-derive from the stored request (corrupted "
+                  "entry)");
+    }
+    entry.result = {record.number("exec_time"), record.number("imbalance"),
+                    record.count("events"), record.count("priority_resets")};
+    const auto it = entries_.find(*key);
+    if (it != entries_.end() && it->second.canonical != entry.canonical) {
+      record.fail("key " + key_text +
+                  " already loaded for a different request (corrupted "
+                  "journal)");
+    }
+    if (it == entries_.end()) entries_.emplace(*key, std::move(entry));
+    ++stats_.loaded;
+  };
+  std::ifstream in(path);
+  jsonl::for_each_record(in, path, kStoreSchema, load);
 
   journal_.open(path, std::ios::app);
   if (!journal_) {
@@ -170,13 +104,14 @@ void ResultStore::publish(std::uint64_t key, std::string_view canonical,
 
 void ResultStore::append_journal(std::uint64_t key, const Entry& entry) {
   if (!journal_.is_open()) return;
-  journal_ << "{\"schema\":\"" << kStoreSchema
-           << "\",\"type\":\"entry\",\"key\":\"" << key_hex(key)
-           << "\",\"request\":\"" << jsonl::json_escape(entry.canonical)
-           << "\",\"exec_time\":" << jsonl::json_num(entry.result.exec_time)
-           << ",\"imbalance\":" << jsonl::json_num(entry.result.imbalance)
-           << ",\"events\":" << entry.result.events
-           << ",\"priority_resets\":" << entry.result.priority_resets << "}\n";
+  journal_ << jsonl::Writer("schema", kStoreSchema, "type", "entry", "key",
+                            jsonl::hex64(key), "request", entry.canonical,
+                            "exec_time", entry.result.exec_time, "imbalance",
+                            entry.result.imbalance, "events",
+                            entry.result.events, "priority_resets",
+                            entry.result.priority_resets)
+                  .finish()
+           << '\n';
   journal_.flush();
 }
 

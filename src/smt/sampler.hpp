@@ -10,6 +10,7 @@
 // simulated at cycle level exactly once per process.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <deque>
@@ -130,6 +131,19 @@ struct SamplerStats {
   /// promotion's later local hits with cold local hits, which the batch
   /// JSONL trailer used to report incorrectly.
   std::uint64_t local_hits = 0;
+
+  SamplerStats& operator+=(const SamplerStats& other) {
+    lookups += other.lookups;
+    misses += other.misses;
+    shared_hits += other.shared_hits;
+    local_hits += other.local_hits;
+    return *this;
+  }
+  /// The counts accrued since `start`, an earlier snapshot of these.
+  [[nodiscard]] SamplerStats since(const SamplerStats& start) const {
+    return {lookups - start.lookups, misses - start.misses,
+            shared_hits - start.shared_hits, local_hits - start.local_hits};
+  }
 };
 
 struct SampleCacheStats {
@@ -147,6 +161,17 @@ struct SampleCacheStats {
   /// determinism bug or a cross-domain cache share — exactly what the
   /// simcheck fuzzer hunts for.
   std::uint64_t divergent = 0;
+
+  /// Folds in another cache's counters. Peak sizes of independent caches
+  /// do not sum (they peak at different moments): the largest is kept.
+  void merge(const SampleCacheStats& other) {
+    hits += other.hits;
+    misses += other.misses;
+    inserts += other.inserts;
+    evictions += other.evictions;
+    peak_size = std::max(peak_size, other.peak_size);
+    divergent += other.divergent;
+  }
 
   [[nodiscard]] double hit_rate() const {
     const std::uint64_t lookups = hits + misses;

@@ -1,5 +1,7 @@
 #include "workloads/trace_replay.hpp"
 
+#include <climits>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <variant>
@@ -12,31 +14,23 @@ namespace smtbal::workloads {
 
 namespace {
 
-using jsonl::Field;
 using jsonl::Record;
-using jsonl::fail;
-using jsonl::json_escape;
-using jsonl::json_num;
-using jsonl::optional_number;
-using jsonl::parse_flat_object;
-using jsonl::require_count;
-using jsonl::require_number;
-using jsonl::require_string;
 
-trace::RankState state_from_name(const std::string& name,
-                                 std::string_view source, std::size_t line) {
+trace::RankState state_of(const Record& record, trace::RankState fallback) {
+  if (!record.has("state")) return fallback;
+  const std::string name = record.string("state");
   using trace::RankState;
   for (const RankState state :
        {RankState::kInit, RankState::kCompute, RankState::kComm,
         RankState::kStat, RankState::kPreempted}) {
     if (name == trace::to_string(state)) return state;
   }
-  fail(source, line, "unknown interval state '" + name + "'");
+  record.fail("unknown interval state '" + name + "'");
 }
 
-void emit_prefix(std::ostream& os, const char* type) {
-  os << "{\"schema\":\"" << kTraceReplaySchema << "\",\"type\":\"" << type
-     << "\"";
+/// A record's common head: schema and type.
+jsonl::Writer record(std::string_view type) {
+  return jsonl::Writer("schema", kTraceReplaySchema, "type", type);
 }
 
 }  // namespace
@@ -44,90 +38,57 @@ void emit_prefix(std::ostream& os, const char* type) {
 mpisim::Application parse_trace(std::istream& in, std::string_view source) {
   mpisim::Application app;
   bool have_meta = false;
-  std::string line_text;
-  std::size_t line = 0;
-  while (std::getline(in, line_text)) {
-    ++line;
-    if (line_text.find_first_not_of(" \t\r") == std::string::npos) continue;
-    if (!line_text.empty() && line_text.back() == '\r') line_text.pop_back();
-    const Record record = parse_flat_object(line_text, source, line);
-    const std::string schema = require_string(record, "schema", source, line);
-    if (schema != kTraceReplaySchema) {
-      fail(source, line,
-           "unsupported schema '" + schema + "' (expected '" +
-               std::string(kTraceReplaySchema) + "')");
-    }
-    const std::string type = require_string(record, "type", source, line);
+  const auto parse_one = [&](const Record& record) {
+    const std::string type = record.string("type");
     if (type == "meta") {
-      if (have_meta) fail(source, line, "duplicate meta record");
-      const std::uint64_t ranks = require_count(record, "ranks", source, line);
-      if (ranks == 0) fail(source, line, "meta.ranks must be >= 1");
+      if (have_meta) record.fail("duplicate meta record");
+      const std::uint64_t ranks = record.count("ranks");
+      if (ranks == 0) record.fail("meta.ranks must be >= 1");
       app.ranks.resize(ranks);
-      if (record.count("name")) {
-        app.name = require_string(record, "name", source, line);
-      }
+      if (record.has("name")) app.name = record.string("name");
       have_meta = true;
-      continue;
+      return;
     }
-    if (type != "interval") {
-      fail(source, line, "unknown record type '" + type + "'");
-    }
-    if (!have_meta) {
-      fail(source, line, "interval record before the meta record");
-    }
-    const std::uint64_t rank = require_count(record, "rank", source, line);
+    if (type != "interval") record.fail("unknown record type '" + type + "'");
+    if (!have_meta) record.fail("interval record before the meta record");
+    const std::uint64_t rank = record.count("rank");
     if (rank >= app.ranks.size()) {
-      fail(source, line,
-           "rank " + std::to_string(rank) + " out of range [0, " +
-               std::to_string(app.ranks.size()) + ")");
+      record.fail("rank " + std::to_string(rank) + " out of range [0, " +
+                  std::to_string(app.ranks.size()) + ")");
     }
     mpisim::RankProgram& program = app.ranks[rank];
-    const std::string kind = require_string(record, "kind", source, line);
+    const std::string kind = record.string("kind");
     if (kind == "compute") {
-      const std::string kernel_name =
-          require_string(record, "kernel", source, line);
+      const std::string kernel_name = record.string("kernel");
       const auto& registry = isa::KernelRegistry::instance();
       if (!registry.contains(kernel_name)) {
-        fail(source, line, "unknown kernel '" + kernel_name + "'");
+        record.fail("unknown kernel '" + kernel_name + "'");
       }
-      const double instructions =
-          require_number(record, "instructions", source, line);
+      const double instructions = record.number("instructions");
       if (!(instructions > 0.0)) {
-        fail(source, line, "compute.instructions must be > 0");
-      }
-      trace::RankState traced_as = trace::RankState::kCompute;
-      if (record.count("state")) {
-        traced_as = state_from_name(
-            require_string(record, "state", source, line), source, line);
+        record.fail("compute.instructions must be > 0");
       }
       program.compute(registry.by_name(kernel_name).id, instructions,
-                      traced_as);
+                      state_of(record, trace::RankState::kCompute));
     } else if (kind == "delay") {
-      const double duration = require_number(record, "duration", source, line);
-      if (duration < 0.0) fail(source, line, "delay.duration must be >= 0");
-      trace::RankState traced_as = trace::RankState::kStat;
-      if (record.count("state")) {
-        traced_as = state_from_name(
-            require_string(record, "state", source, line), source, line);
-      }
-      program.delay(duration, traced_as);
+      const double duration = record.number("duration");
+      if (duration < 0.0) record.fail("delay.duration must be >= 0");
+      program.delay(duration, state_of(record, trace::RankState::kStat));
     } else if (kind == "barrier") {
       program.barrier();
     } else if (kind == "allreduce") {
-      program.allreduce(record.count("bytes")
-                            ? require_count(record, "bytes", source, line)
-                            : 8);
+      program.allreduce(record.has("bytes") ? record.count("bytes") : 8);
     } else if (kind == "send" || kind == "recv") {
-      const std::uint64_t peer = require_count(record, "peer", source, line);
+      const std::uint64_t peer = record.count("peer");
       if (peer >= app.ranks.size()) {
-        fail(source, line,
-             kind + ".peer " + std::to_string(peer) + " out of range [0, " +
-                 std::to_string(app.ranks.size()) + ")");
+        record.fail(kind + ".peer " + std::to_string(peer) +
+                    " out of range [0, " + std::to_string(app.ranks.size()) +
+                    ")");
       }
-      const std::uint64_t bytes = require_count(record, "bytes", source, line);
-      const double tag = optional_number(record, "tag", 0.0, source, line);
-      if (tag != static_cast<double>(static_cast<int>(tag))) {
-        fail(source, line, kind + ".tag must be an integer");
+      const std::uint64_t bytes = record.count("bytes");
+      const double tag = record.has("tag") ? record.number("tag") : 0.0;
+      if (!(std::abs(tag) <= INT_MAX) || tag != std::trunc(tag)) {
+        record.fail(kind + ".tag must be an integer");
       }
       const auto peer_id = RankId{static_cast<std::uint32_t>(peer)};
       if (kind == "send") {
@@ -138,9 +99,10 @@ mpisim::Application parse_trace(std::istream& in, std::string_view source) {
     } else if (kind == "waitall") {
       program.wait_all();
     } else {
-      fail(source, line, "unknown interval kind '" + kind + "'");
+      record.fail("unknown interval kind '" + kind + "'");
     }
-  }
+  };
+  jsonl::for_each_record(in, source, kTraceReplaySchema, parse_one);
   if (!have_meta) {
     throw InvalidArgument(std::string(source) +
                           ": empty trace (no meta record)");
@@ -165,46 +127,44 @@ mpisim::Application parse_trace_file(const std::string& path) {
 
 std::string emit_trace(const mpisim::Application& app) {
   std::ostringstream os;
-  emit_prefix(os, "meta");
-  os << ",\"ranks\":" << app.ranks.size() << ",\"name\":\""
-     << json_escape(app.name) << "\"}\n";
+  os << record("meta").add("ranks", app.ranks.size(), "name", app.name).finish()
+     << '\n';
   const auto& registry = isa::KernelRegistry::instance();
   for (std::size_t r = 0; r < app.ranks.size(); ++r) {
     for (const mpisim::Phase& phase : app.ranks[r].phases) {
-      emit_prefix(os, "interval");
-      os << ",\"rank\":" << r << ",\"kind\":";
+      jsonl::Writer w = record("interval");
+      w.add("rank", r);
       std::visit(
           [&](const auto& p) {
             using P = std::decay_t<decltype(p)>;
             if constexpr (std::is_same_v<P, mpisim::ComputePhase>) {
-              os << "\"compute\",\"kernel\":\""
-                 << json_escape(registry.get(p.kernel).name())
-                 << "\",\"instructions\":" << json_num(p.instructions);
+              w.add("kind", "compute", "kernel", registry.get(p.kernel).name(),
+                    "instructions", p.instructions);
               if (p.traced_as != trace::RankState::kCompute) {
-                os << ",\"state\":\"" << trace::to_string(p.traced_as) << "\"";
+                w.add("state", trace::to_string(p.traced_as));
               }
             } else if constexpr (std::is_same_v<P, mpisim::DelayPhase>) {
-              os << "\"delay\",\"duration\":" << json_num(p.duration);
+              w.add("kind", "delay", "duration", p.duration);
               if (p.traced_as != trace::RankState::kStat) {
-                os << ",\"state\":\"" << trace::to_string(p.traced_as) << "\"";
+                w.add("state", trace::to_string(p.traced_as));
               }
             } else if constexpr (std::is_same_v<P, mpisim::BarrierPhase>) {
-              os << "\"barrier\"";
+              w.add("kind", "barrier");
             } else if constexpr (std::is_same_v<P, mpisim::AllreducePhase>) {
-              os << "\"allreduce\",\"bytes\":" << p.bytes;
+              w.add("kind", "allreduce", "bytes", p.bytes);
             } else if constexpr (std::is_same_v<P, mpisim::SendPhase>) {
-              os << "\"send\",\"peer\":" << p.peer.value()
-                 << ",\"bytes\":" << p.bytes << ",\"tag\":" << p.tag;
+              w.add("kind", "send", "peer", p.peer.value(), "bytes", p.bytes,
+                    "tag", p.tag);
             } else if constexpr (std::is_same_v<P, mpisim::RecvPhase>) {
-              os << "\"recv\",\"peer\":" << p.peer.value()
-                 << ",\"bytes\":" << p.bytes << ",\"tag\":" << p.tag;
+              w.add("kind", "recv", "peer", p.peer.value(), "bytes", p.bytes,
+                    "tag", p.tag);
             } else {
               static_assert(std::is_same_v<P, mpisim::WaitAllPhase>);
-              os << "\"waitall\"";
+              w.add("kind", "waitall");
             }
           },
           phase);
-      os << "}\n";
+      os << w.finish() << '\n';
     }
   }
   return os.str();
@@ -212,9 +172,8 @@ std::string emit_trace(const mpisim::Application& app) {
 
 std::string emit_trace(const trace::Tracer& tracer, std::string_view name) {
   std::ostringstream os;
-  emit_prefix(os, "meta");
-  os << ",\"ranks\":" << tracer.num_ranks() << ",\"name\":\""
-     << json_escape(name) << "\"}\n";
+  os << record("meta").add("ranks", tracer.num_ranks(), "name", name).finish()
+     << '\n';
   for (std::size_t r = 0; r < tracer.num_ranks(); ++r) {
     const auto rank = RankId{static_cast<std::uint32_t>(r)};
     for (const trace::Interval& interval : tracer.timeline(rank)) {
@@ -229,13 +188,14 @@ std::string emit_trace(const trace::Tracer& tracer, std::string_view name) {
         default:
           continue;  // waiting/idle is re-derived by the replay
       }
-      emit_prefix(os, "interval");
-      os << ",\"rank\":" << r << ",\"kind\":\"delay\",\"duration\":"
-         << json_num(duration) << ",\"state\":\""
-         << trace::to_string(interval.state) << "\"}\n";
+      os << record("interval")
+                .add("rank", r, "kind", "delay", "duration", duration, "state",
+                     trace::to_string(interval.state))
+                .finish()
+         << '\n';
     }
-    emit_prefix(os, "interval");
-    os << ",\"rank\":" << r << ",\"kind\":\"barrier\"}\n";
+    os << record("interval").add("rank", r, "kind", "barrier").finish()
+       << '\n';
   }
   return os.str();
 }

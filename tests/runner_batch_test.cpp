@@ -5,10 +5,12 @@
 #include <string>
 #include <vector>
 
+#include "cluster/placement.hpp"
 #include "common/error.hpp"
 #include "isa/kernel.hpp"
 #include "runner/report.hpp"
 #include "smt/sampler.hpp"
+#include "workloads/stencil.hpp"
 
 namespace smtbal::runner {
 namespace {
@@ -41,6 +43,32 @@ RunSpec make_spec(std::string label, double work) {
 RunSpec broken_spec() {
   RunSpec spec = make_spec("broken", 1e7);
   spec.placement = mpisim::Placement::identity(1);
+  return spec;
+}
+
+/// A two-node cluster spec whose second node is an SMT4 chip, so the
+/// engine measures on a per-shape sampler next to the worker's sampler.
+/// Shares fast_config()'s sampler domain with make_spec.
+RunSpec mixed_width_spec(std::string label, double work) {
+  RunSpec spec;
+  spec.label = std::move(label);
+  cluster::ClusterConfig config;
+  config.num_nodes = 2;
+  config.node = fast_config();
+  config.node_shapes = {{}, {.threads_per_core = 4}};
+  std::vector<std::uint32_t> contexts, tpc;
+  for (std::uint32_t n = 0; n < config.num_nodes; ++n) {
+    contexts.push_back(config.node_chip(n).num_contexts());
+    tpc.push_back(config.node_chip(n).threads_per_core());
+  }
+  workloads::StencilConfig stencil;
+  stencil.num_ranks = 6;
+  stencil.iterations = 2;
+  stencil.base_instructions = work;
+  spec.app = workloads::build_stencil(stencil);
+  spec.cluster_placement =
+      cluster::ClusterPlacement::block_by_capacity(6, contexts, tpc);
+  spec.cluster_config = config;
   return spec;
 }
 
@@ -125,6 +153,32 @@ TEST(BatchRunner, SharedCacheRecordsMeasurements) {
   // All specs share one sampler domain, so at least one measurement must
   // have been published. Exact hit counts are scheduling-dependent.
   EXPECT_GT(batch.cache_stats.inserts, 0u);
+}
+
+TEST(BatchRunner, SamplerStatsAreTheSumOfPerRunDeltas) {
+  // Workers reuse one sampler per domain across runs, and cluster runs
+  // add per-shape samplers: neither may skew the counters. Every sampler
+  // miss is one shared-cache miss, so the three figures must agree.
+  std::vector<RunSpec> specs;
+  specs.push_back(mixed_width_spec("hetero-a", 2e6));
+  specs.push_back(make_spec("flat-a", 1e7));
+  specs.push_back(mixed_width_spec("hetero-b", 5e6));
+  specs.push_back(make_spec("flat-b", 3e7));
+  for (const unsigned jobs : {1u, 3u}) {
+    const BatchResult batch = BatchRunner({.jobs = jobs}).run(specs);
+    std::uint64_t run_misses = 0;
+    std::uint64_t run_lookups = 0;
+    for (const RunOutcome& out : batch.runs) {
+      ASSERT_TRUE(out.ok) << out.error;
+      run_misses += out.result->sampler_stats.misses;
+      run_lookups += out.result->sampler_stats.lookups;
+    }
+    EXPECT_GT(batch.sampler_stats.misses, 0u);
+    EXPECT_EQ(batch.sampler_stats.misses, batch.cache_stats.misses)
+        << "jobs " << jobs;
+    EXPECT_EQ(batch.sampler_stats.misses, run_misses) << "jobs " << jobs;
+    EXPECT_EQ(batch.sampler_stats.lookups, run_lookups) << "jobs " << jobs;
+  }
 }
 
 TEST(BatchRunner, SampleMatchesDirectSampler) {

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/jsonl.hpp"
 #include "service/request.hpp"
 #include "service/service.hpp"
 #include "service/store.hpp"
@@ -152,6 +153,50 @@ TEST(RequestParse, ErrorsNameSourceAndLine) {
   EXPECT_THROW((void)parse_requests(empty, "feed"), InvalidArgument);
 }
 
+TEST(RequestParse, RejectsUnknownFieldsAndNonJsonNumbers) {
+  const auto error_of = [](const std::string& eval_line) {
+    std::istringstream in(
+        "{\"schema\":\"smtbal.evalreq/1\",\"type\":\"meta\"}\n" +
+        eval_line + "\n");
+    try {
+      (void)parse_requests(in, "feed");
+    } catch (const InvalidArgument& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  const std::string head = R"({"schema":"smtbal.evalreq/1","type":"eval",)";
+  // A typo must not silently run the "none" baseline.
+  std::string what =
+      error_of(head + R"("id":"q","scenario":"seed=1","polciy":"dynamic"})");
+  EXPECT_NE(what.find("feed:2:"), std::string::npos) << what;
+  EXPECT_NE(what.find("unknown field \"polciy\""), std::string::npos) << what;
+  what = error_of(head + R"("id":"q","trace":"t","cores":0x2})");
+  EXPECT_NE(what.find("feed:2:"), std::string::npos) << what;
+  EXPECT_NE(what.find("\"cores\" is not a number"), std::string::npos) << what;
+  what = error_of(head + R"("id":"q","trace":"t","smt":+2})");
+  EXPECT_NE(what.find("feed:2:"), std::string::npos) << what;
+  EXPECT_NE(what.find("\"smt\" is not a number"), std::string::npos) << what;
+  what = error_of(head + R"("id":"q","trace":"t","cores":4294967298})");
+  EXPECT_NE(what.find("feed:2:"), std::string::npos) << what;
+  EXPECT_NE(what.find("\"cores\" is out of range"), std::string::npos) << what;
+  EXPECT_EQ(error_of(head + R"("id":"q","trace":"t","cores":2,"smt":4})"), "");
+}
+
+TEST(Response, ControlBytesInIdsAreEscapedAndParseBack) {
+  EvalResponse response;
+  response.id = std::string("a\x01" "b\rc\"d") + '\0';
+  response.status = Status::kError;
+  response.error = "bad\tinput\n";
+  const std::string record = to_json_record(response);
+  for (const char c : record) {
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20u) << record;
+  }
+  const jsonl::Record parsed = jsonl::parse_flat_object(record, "resp", 1);
+  EXPECT_EQ(parsed.string("id"), response.id);
+  EXPECT_EQ(parsed.string("error"), response.error);
+}
+
 TEST(RequestParse, CommittedSmokeFeedParses) {
   const std::vector<EvalRequest> requests =
       parse_requests_file(std::string(SMTBAL_REQUESTS_DIR) +
@@ -255,6 +300,35 @@ TEST(Store, CorruptedJournalLinesRejectedWithLineNumbers) {
       "does not re-derive");
   expect_fail_at(R"({"schema":"smtbal.evalstore/9","type":"entry"})",
                  "unsupported schema");
+}
+
+TEST(Store, ControlBytesInCanonicalTextSurviveTheJournal) {
+  const TempFile journal("control");
+  const std::string canonical = "trace{a\r\nb\x01\x1f\t\"\\}";
+  const EvalResult result{1.25, -0.0, 4, 1};
+  {
+    ResultStore store;
+    store.open(journal.path.string());
+    store.publish(canonical_key(canonical), canonical, result);
+  }
+  ResultStore reloaded;
+  reloaded.open(journal.path.string());
+  const auto hit = reloaded.lookup(canonical_key(canonical), canonical);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(*hit, result);
+}
+
+TEST(Store, ReopensTheCommittedGoldenJournal) {
+  // tests/golden/store_smoke.evalstore.jsonl was written by the store as
+  // it stood before the shared jsonl::Writer; it must still load.
+  const TempFile journal("golden");
+  std::filesystem::copy_file(std::string(SMTBAL_REQUESTS_DIR) +
+                                 "/../golden/store_smoke.evalstore.jsonl",
+                             journal.path);
+  ResultStore store;
+  store.open(journal.path.string());
+  EXPECT_EQ(store.stats().loaded, 2u);
+  EXPECT_EQ(store.size(), 2u);
 }
 
 TEST(Store, NearCollisionServedAsMissNeverAsWrongResult) {

@@ -69,6 +69,23 @@ TEST(TraceReplay, MissingFileNamesThePath) {
 
 // --- malformed input --------------------------------------------------------
 
+TEST(TraceReplay, RejectsNonJsonNumbersAndOutOfRangeTags) {
+  const std::string meta = kMeta(2);
+  const std::string send =
+      R"({"schema":"smtbal.trace-replay/1","type":"interval","rank":0,)"
+      R"("kind":"send","peer":1,"bytes":8,)";
+  expect_rejects(meta + send + "\"tag\":0x10}\n",
+                 "t.jsonl:2: field \"tag\" is not a number: '0x10'");
+  expect_rejects(meta + send + "\"tag\":nan}\n",
+                 "t.jsonl:2: field \"tag\" is not a number: 'nan'");
+  expect_rejects(meta + send + "\"tag\":1e300}\n",
+                 "t.jsonl:2: send.tag must be an integer");
+  expect_rejects(meta + send + "\"tag\":2.5}\n",
+                 "t.jsonl:2: send.tag must be an integer");
+  expect_rejects(meta + send + "\"tag\":1e999}\n",
+                 "t.jsonl:2: field \"tag\" is out of range: '1e999'");
+}
+
 TEST(TraceReplay, RejectsMalformedLinesWithLineNumbers) {
   const std::string meta = kMeta(2);
   const std::string interval =

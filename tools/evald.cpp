@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/jsonl.hpp"
 #include "runner/batch.hpp"
 #include "service/request.hpp"
 #include "service/service.hpp"
@@ -91,20 +92,19 @@ int run_file_mode(const std::string& requests_path,
     }
     os = &file;
   }
-  *os << "{\"schema\":\"" << service::kEvalResponseSchema
-      << "\",\"type\":\"meta\",\"requests\":" << requests.size() << "}\n";
+  *os << jsonl::Writer("schema", service::kEvalResponseSchema, "type",
+                       "meta", "requests", requests.size())
+             .finish()
+      << '\n';
   for (const std::string& record : feed.records) *os << record << '\n';
   *os << feed.trailer << '\n';
 
-  std::size_t failures = 0;
-  for (const std::string& record : feed.records) {
-    if (record.find("\"status\":\"ok\"") == std::string::npos) ++failures;
-  }
   std::cerr << "[evald] " << feed.records.size() << " requests, "
             << feed.stats.served << " served (" << feed.stats.store.hits
             << " store hits), " << feed.stats.rejected << " rejected, "
             << feed.stats.failed << " failed\n";
-  return failures == 0 ? 0 : 1;
+  // Every response that is not "ok" was counted as failed or rejected.
+  return feed.stats.failed + feed.stats.rejected == 0 ? 0 : 1;
 }
 
 std::vector<service::EvalRequest> selftest_requests() {

@@ -41,6 +41,7 @@
 
 #include "cluster/workload.hpp"
 #include "common/error.hpp"
+#include "common/jsonl.hpp"
 #include "policy/registry.hpp"
 #include "runner/batch.hpp"
 #include "runner/report.hpp"
@@ -249,21 +250,6 @@ void validate_entrant(const std::string& spec) {
   (void)policy::Registry::instance().make(spec, context);
 }
 
-std::string json_num(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  return buffer;
-}
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  for (const char c : text) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
 struct Cell {
   bool ok = false;
   std::string error;
@@ -420,44 +406,41 @@ int run_tournament(bool smoke, std::uint64_t seed_base,
     if (!os) {
       throw SimulationError("cannot write " + cli.json_path);
     }
-    os << R"({"schema":"smtbal.tournament/1","type":"meta","smoke":)"
-       << (smoke ? "true" : "false") << ",\"seed_base\":" << seed_base
-       << ",\"baseline\":\"" << json_escape(entrants[baseline])
-       << "\",\"policies\":[";
-    for (std::size_t e = 0; e < entrants.size(); ++e) {
-      os << (e != 0 ? "," : "") << '"' << json_escape(entrants[e]) << '"';
-    }
-    os << "],\"scenarios\":[";
-    for (std::size_t s = 0; s < corpus.size(); ++s) {
-      os << (s != 0 ? "," : "") << '"' << json_escape(corpus[s]->name) << '"';
-    }
-    os << "]}\n";
+    const auto record = [](std::string_view type) {
+      return jsonl::Writer("schema", "smtbal.tournament/1", "type", type);
+    };
+    jsonl::Writer meta = record("meta");
+    meta.add("smoke", smoke, "seed_base", seed_base, "baseline",
+             entrants[baseline]);
+    meta.array("policies");
+    for (const std::string& entrant : entrants) meta.push(entrant);
+    meta.end().array("scenarios");
+    for (const auto& scenario : corpus) meta.push(scenario->name);
+    os << meta.end().finish() << '\n';
     for (std::size_t s = 0; s < corpus.size(); ++s) {
       for (std::size_t e = 0; e < entrants.size(); ++e) {
         const Cell& cell = cells[s][e];
-        os << R"({"schema":"smtbal.tournament/1","type":"cell","scenario":")"
-           << json_escape(corpus[s]->name) << "\",\"policy\":\""
-           << json_escape(entrants[e]) << "\",\"ok\":"
-           << (cell.ok ? "true" : "false");
+        jsonl::Writer w = record("cell");
+        w.add("scenario", corpus[s]->name, "policy", entrants[e], "ok",
+              cell.ok);
         if (cell.ok) {
-          os << ",\"exec_time\":" << json_num(cell.exec_time)
-             << ",\"imbalance\":" << json_num(cell.imbalance)
-             << ",\"speedup\":" << json_num(cell.speedup);
+          w.add("exec_time", cell.exec_time, "imbalance", cell.imbalance,
+                "speedup", cell.speedup);
         } else {
-          os << ",\"error\":\"" << json_escape(cell.error) << '"';
+          w.add("error", cell.error);
         }
-        os << "}\n";
+        os << w.finish() << '\n';
       }
     }
     for (std::size_t i = 0; i < standings.size(); ++i) {
       const Standing& standing = standings[i];
-      os << R"({"schema":"smtbal.tournament/1","type":"rank","rank":)"
-         << i + 1 << ",\"policy\":\"" << json_escape(standing.policy)
-         << "\",\"geomean_speedup\":" << json_num(standing.geomean_speedup)
-         << ",\"wins\":" << standing.wins
-         << ",\"scenarios\":" << standing.scored
-         << ",\"mean_imbalance\":" << json_num(standing.mean_imbalance)
-         << "}\n";
+      os << record("rank")
+                .add("rank", i + 1, "policy", standing.policy,
+                     "geomean_speedup", standing.geomean_speedup, "wins",
+                     standing.wins, "scenarios", standing.scored,
+                     "mean_imbalance", standing.mean_imbalance)
+                .finish()
+         << '\n';
     }
     // The one scheduling-dependent line (sampler/cache counters, incl.
     // evictions and peak_size under --cache-capacity); drop it before
