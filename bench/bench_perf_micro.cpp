@@ -1,16 +1,20 @@
 // google-benchmark micro-benchmarks of the simulator itself: cycle-level
 // core stepping, cache accesses, stream generation, sampler memoisation
-// and the discrete-event engine.
+// and the discrete-event engine (cold and warm sampler).
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <memory>
 
+#include "cluster/engine.hpp"
+#include "cluster/workload.hpp"
 #include "isa/kernel.hpp"
 #include "isa/stream.hpp"
 #include "mem/hierarchy.hpp"
 #include "mpisim/engine.hpp"
 #include "smt/chip.hpp"
 #include "smt/sampler.hpp"
+#include "workloads/stencil.hpp"
 
 using namespace smtbal;
 
@@ -189,6 +193,56 @@ void BM_EngineBarrierAppWide(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineBarrierAppWide)->Arg(4)->Arg(16)
     ->Unit(benchmark::kMillisecond);
+
+void BM_EngineWarm(benchmark::State& state) {
+  // Event-kernel throughput on a warm sampler: one untimed run fills the
+  // sampler's memo, so every timed rate lookup is a hit and the loop
+  // measures the mpisim event kernel (and, for the cluster, the
+  // multi-node bookkeeping) without cold cycle-model work. Items are
+  // engine events, so the rate reads as events/s.
+  // Arg 0: a 4-rank periodic ring stencil on one chip (point-to-point
+  // halos). Arg 1: the skewed 4-node cluster (barriers, 4 ranks a node).
+  mpisim::EngineConfig config;
+  config.sampler = {.warmup_cycles = 20000, .window_cycles = 80000, .seed = 1};
+  auto sampler =
+      std::make_shared<smt::ThroughputSampler>(config.chip, config.sampler);
+  const bool cluster = state.range(0) == 1;
+  workloads::StencilConfig stencil;
+  stencil.num_ranks = 4;
+  stencil.iterations = 100;
+  stencil.periodic = true;
+  const mpisim::Application ring = workloads::build_stencil(stencil);
+  cluster::SkewedClusterConfig skewed;
+  skewed.num_nodes = 4;
+  skewed.iterations = 50;
+  skewed.node_scale = {1.4, 1.0, 1.2};
+  const cluster::SkewedCluster skewed_cluster =
+      cluster::make_skewed_cluster(skewed);
+  cluster::ClusterConfig cluster_config;
+  cluster_config.num_nodes = skewed.num_nodes;
+  cluster_config.node = config;
+  const auto run_once = [&]() -> std::uint64_t {
+    if (cluster) {
+      cluster::ClusterEngine engine(skewed_cluster.app,
+                                    skewed_cluster.placement, cluster_config,
+                                    sampler);
+      return engine.run().flat.events;
+    }
+    mpisim::Engine engine(ring, mpisim::Placement::identity(4), config,
+                          sampler);
+    return engine.run().events;
+  };
+  (void)run_once();  // warm the sampler outside the timed loop
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    const std::uint64_t run_events = run_once();
+    benchmark::DoNotOptimize(run_events);
+    events += run_events;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+  state.SetLabel(cluster ? "skewed 4-node cluster" : "ring stencil");
+}
+BENCHMARK(BM_EngineWarm)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -1,5 +1,7 @@
 #include "mpisim/collectives.hpp"
 
+#include <algorithm>
+
 namespace smtbal::mpisim {
 
 void Collectives::release_due(SimTime now, SimTime eps,
@@ -26,9 +28,16 @@ void Collectives::release_due(SimTime now, SimTime eps,
   releasing_ = false;
 }
 
+std::size_t Collectives::ChannelHash::operator()(const Channel& c) const {
+  std::uint64_t h = (std::uint64_t{c.src} << 32 | c.dst) *
+                    0x9e37'79b9'7f4a'7c15ULL;
+  h ^= static_cast<std::uint32_t>(c.tag) * 0xc2b2'ae3d'27d4'eb4fULL;
+  return static_cast<std::size_t>(h ^ (h >> 29));
+}
+
 void Collectives::post_send(std::uint32_t src, std::uint32_t dst, int tag,
                             SimTime arrival) {
-  messages_[std::tuple{src, dst, tag}].push_back(arrival);
+  messages_[Channel{src, dst, tag}].arrivals.push_back(arrival);
 }
 
 bool Collectives::match_all(std::uint32_t rank, std::vector<RecvReq>& posted,
@@ -37,12 +46,15 @@ bool Collectives::match_all(std::uint32_t rank, std::vector<RecvReq>& posted,
   bool all = true;
   for (RecvReq& req : posted) {
     if (!req.matched) {
-      const auto key = std::tuple{req.peer, rank, req.tag};
-      auto it = messages_.find(key);
-      if (it != messages_.end() && !it->second.empty()) {
+      const auto it = messages_.find(Channel{req.peer, rank, req.tag});
+      Fifo* fifo = it == messages_.end() ? nullptr : &it->second;
+      if (fifo != nullptr && fifo->head < fifo->arrivals.size()) {
         req.matched = true;
-        req.arrival = it->second.front();
-        it->second.pop_front();
+        req.arrival = fifo->arrivals[fifo->head++];
+        if (fifo->head == fifo->arrivals.size()) {
+          fifo->arrivals.clear();
+          fifo->head = 0;
+        }
       }
     }
     if (req.matched) {

@@ -13,10 +13,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <span>
-#include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "common/types.hpp"
@@ -73,11 +71,30 @@ class Collectives {
                  SimTime& max_arrival);
 
  private:
+  /// A point-to-point channel: messages from `src` to `dst` with `tag`.
+  struct Channel {
+    std::uint32_t src;
+    std::uint32_t dst;
+    int tag;
+    bool operator==(const Channel&) const = default;
+  };
+  struct ChannelHash {
+    std::size_t operator()(const Channel& c) const;
+  };
+  /// Arrival times of a channel's unmatched messages in send order: a
+  /// vector read from `head`, rewound once drained so a steady exchange
+  /// reuses its storage instead of allocating per message.
+  struct Fifo {
+    std::vector<SimTime> arrivals;
+    std::size_t head = 0;
+  };
+
   std::size_t num_ranks_;
   std::size_t barrier_arrived_ = 0;
-  /// In-flight and arrived messages keyed by (src, dst, tag).
-  std::map<std::tuple<std::uint32_t, std::uint32_t, int>, std::deque<SimTime>>
-      messages_;
+  /// In-flight and arrived messages per channel. Only per-channel order
+  /// matters (matching looks up one channel at a time), so the channels
+  /// are hashed, not ordered.
+  std::unordered_map<Channel, Fifo, ChannelHash> messages_;
   /// Ranks releasable from a due collective; drained iteratively by the
   /// outermost release_due (see file comment).
   std::vector<std::size_t> release_queue_;

@@ -1,6 +1,7 @@
 #include "mpisim/phase.hpp"
 
-#include <map>
+#include <algorithm>
+#include <tuple>
 
 #include "common/error.hpp"
 
@@ -52,8 +53,11 @@ void Application::validate() const {
   // ranks: MPI collectives are matched by order on the communicator.
   std::vector<std::pair<char, std::uint64_t>> reference_collectives;
   bool first = true;
-  // (src, dst, tag) -> sends minus recvs
-  std::map<std::tuple<std::uint32_t, std::uint32_t, int>, long> traffic;
+  // One (src, dst, tag) entry per send and per recv; the traffic is
+  // balanced when the two sorted lists are equal.
+  using Channel = std::tuple<std::uint32_t, std::uint32_t, int>;
+  std::vector<Channel> sends;
+  std::vector<Channel> recvs;
 
   for (std::size_t r = 0; r < ranks.size(); ++r) {
     std::vector<std::pair<char, std::uint64_t>> collectives;
@@ -66,14 +70,14 @@ void Application::validate() const {
         SMTBAL_REQUIRE(send->peer.value() < ranks.size(),
                        "send peer out of range");
         SMTBAL_REQUIRE(send->peer.value() != r, "send to self");
-        ++traffic[{static_cast<std::uint32_t>(r), send->peer.value(),
-                   send->tag}];
+        sends.emplace_back(static_cast<std::uint32_t>(r), send->peer.value(),
+                           send->tag);
       } else if (const auto* recv = std::get_if<RecvPhase>(&phase)) {
         SMTBAL_REQUIRE(recv->peer.value() < ranks.size(),
                        "recv peer out of range");
         SMTBAL_REQUIRE(recv->peer.value() != r, "recv from self");
-        --traffic[{recv->peer.value(), static_cast<std::uint32_t>(r),
-                   recv->tag}];
+        recvs.emplace_back(recv->peer.value(), static_cast<std::uint32_t>(r),
+                           recv->tag);
       }
     }
     if (first) {
@@ -85,11 +89,20 @@ void Application::validate() const {
                      "would deadlock");
     }
   }
-  for (const auto& [key, balance] : traffic) {
-    SMTBAL_REQUIRE(balance == 0,
-                   "unmatched send/recv traffic between ranks " +
-                       std::to_string(std::get<0>(key)) + " -> " +
-                       std::to_string(std::get<1>(key)));
+  std::sort(sends.begin(), sends.end());
+  std::sort(recvs.begin(), recvs.end());
+  // At the first difference of the sorted lists the smaller entry is the
+  // lowest channel whose send and recv counts differ (every lower channel
+  // lies wholly inside the equal prefix of both).
+  const auto [send_it, recv_it] =
+      std::mismatch(sends.begin(), sends.end(), recvs.begin(), recvs.end());
+  if (send_it != sends.end() || recv_it != recvs.end()) {
+    const bool send_lower = recv_it == recvs.end() ||
+                            (send_it != sends.end() && *send_it < *recv_it);
+    const Channel& lowest = send_lower ? *send_it : *recv_it;
+    throw InvalidArgument("unmatched send/recv traffic between ranks " +
+                          std::to_string(std::get<0>(lowest)) + " -> " +
+                          std::to_string(std::get<1>(lowest)));
   }
 }
 

@@ -53,6 +53,7 @@ Sim::Sim(const Application& app, const Placement& placement,
     node.words.assign(contexts, 0);
     node.chain.assign(contexts, 0);
     for (std::uint32_t ctx = 0; ctx < contexts; ++ctx) {
+      node.cpus.push_back(node.ctx.chip->cpu(ctx));
       node_of_ctx_.push_back(static_cast<std::uint32_t>(n));
     }
     if (config_.noise_horizon > 0.0) {
@@ -86,7 +87,13 @@ bool Sim::preempted(std::size_t rank) const {
   return preempt_until_[ctx_of_rank_[rank]] > now_ + kTimeEps;
 }
 
+void Sim::set_state(std::size_t rank, RunState state) {
+  if (state_[rank] == RunState::kComputing) touch(rank);
+  state_[rank] = state;
+}
+
 void Sim::notify_priority_change(RankId rank, int from, int to) {
+  touch(rank.value());
   // Pre-run changes (a policy's on_start) predate the event loop: no meta
   // event exists to count, only the observer callback at t = 0.
   if (running_) emit_meta(EventKind::kPriorityChange, rank.value());
@@ -97,6 +104,7 @@ void Sim::notify_placement_change(RankId rank, CpuId from, CpuId to) {
   const auto r = static_cast<std::size_t>(rank.value());
   SMTBAL_CHECK(r < ranks_.size());
   NodeRt& node = node_of(r);
+  node.dirty = true;
   const std::uint32_t tpc = node.ctx.chip->threads_per_core();
   const std::uint32_t new_lin = to.linear(tpc);
   const std::uint32_t old_lin = lin_of_rank_[r];
@@ -129,6 +137,8 @@ void Sim::notify_rank_migration(RankId rank, std::uint32_t from_node,
   SMTBAL_CHECK(from_node != to_node);
   NodeRt& src = nodes_[from_node];
   NodeRt& dst = nodes_[to_node];
+  src.dirty = true;
+  dst.dirty = true;
   // Materialise the integration segment on the old seat (same discipline
   // as notify_placement_change); the engine already flipped the
   // placement maps, so the old context comes from our own cached index.
@@ -190,7 +200,7 @@ void Sim::invariant_audit(InvariantAudit& out) const {
     audit.priorities.resize(contexts);
     audit.engaged.resize(contexts);
     for (std::uint32_t ctx = 0; ctx < contexts; ++ctx) {
-      const CpuId cpu = node.ctx.chip->cpu(ctx);
+      const CpuId cpu = node.cpus[ctx];
       audit.priorities[ctx] = node.ctx.kernel->effective_priority(cpu);
       audit.engaged[ctx] = node.ctx.kernel->process_on(cpu).has_value();
     }
@@ -220,6 +230,7 @@ void Sim::emit_meta(EventKind kind, std::uint32_t subject) {
 }
 
 void Sim::finish_rank(std::size_t rank) {
+  touch(rank);  // the seat goes idle
   state_[rank] = RunState::kDone;
   set_trace(rank, trace::RankState::kDone);
   node_of(rank).ctx.kernel->exit_process(pids_[rank]);
@@ -272,31 +283,34 @@ void Sim::invalidate_prediction(std::size_t rank) {
 /// everyone else's queued prediction stays valid. Nodes are independent
 /// sampling domains: an event on one node re-samples only that node.
 ///
-/// The load key is derived incrementally: each context's (kernel,
-/// priority) word is recomputed from ground truth and compared against
-/// the node's cached word, and only the hash-chain suffix from the first
-/// changed word is re-mixed (ChipLoad::key() prefix deltas). The common
-/// nothing-changed case costs one compare per context — no hashing, no
-/// ChipLoad construction, no sampler lookup.
+/// Only dirty nodes (see NodeRt::dirty) re-derive their words at all; a
+/// clean node's words are current by construction, which debug builds
+/// verify by re-deriving them anyway. On a dirty node the load key is
+/// derived incrementally: each context's (kernel, priority) word is
+/// recomputed from ground truth and compared against the node's cached
+/// word, and only the hash-chain suffix from the first changed word is
+/// re-mixed (ChipLoad::key() prefix deltas). A dirty node whose words did
+/// not change costs one compare per context — no hashing, no ChipLoad
+/// construction, no sampler lookup.
 void Sim::refresh_rates() {
   for (NodeRt& node : nodes_) {
-    const smt::ChipConfig& chip = *node.ctx.chip;
-    const std::uint32_t contexts = chip.num_contexts();
+    if (!node.dirty && node.preempt_expiry > now_ + kTimeEps) {
+      SMTBAL_DCHECK(words_current(node));
+      continue;
+    }
+    node.dirty = false;
+    node.preempt_expiry = kSimInf;
+    const auto contexts = static_cast<std::uint32_t>(node.words.size());
     std::uint32_t first_changed = contexts;  // sentinel: no word changed
     std::uint32_t used = 0;
     std::uint64_t engaged = 0;
     for (std::uint32_t ctx = 0; ctx < contexts; ++ctx) {
-      const CpuId cpu = chip.cpu(ctx);
-      std::uint64_t word = 0;
-      if (node.ctx.kernel->process_on(cpu).has_value()) {
-        const int rank = rank_on_linear_[node.ctx_base + ctx];
-        SMTBAL_CHECK(rank >= 0);
-        const auto r = static_cast<std::size_t>(rank);
-        const bool computing =
-            state_[r] == RunState::kComputing && !preempted(r);
-        word = smt::ChipLoad::context_word(
-            computing ? kernel_of_rank_[r] : spin_kernel_,
-            node.ctx.kernel->effective_priority(cpu));
+      const SimTime until = preempt_until_[node.ctx_base + ctx];
+      if (until > now_ + kTimeEps) {
+        node.preempt_expiry = std::min(node.preempt_expiry, until);
+      }
+      const std::uint64_t word = context_word(node, ctx);
+      if (word != 0) {
         used = ctx + 1;
         ++engaged;
       }
@@ -352,23 +366,40 @@ void Sim::refresh_rates() {
   fresh_compute_.clear();
 }
 
+std::optional<smt::ContextLoad> Sim::context_load(const NodeRt& node,
+                                                  std::uint32_t ctx) const {
+  const CpuId cpu = node.cpus[ctx];
+  if (!node.ctx.kernel->process_on(cpu).has_value()) return std::nullopt;
+  const int rank = rank_on_linear_[node.ctx_base + ctx];
+  SMTBAL_CHECK(rank >= 0);
+  const auto r = static_cast<std::size_t>(rank);
+  const bool computing = state_[r] == RunState::kComputing && !preempted(r);
+  return smt::ContextLoad{computing ? kernel_of_rank_[r] : spin_kernel_,
+                          node.ctx.kernel->effective_priority(cpu)};
+}
+
+std::uint64_t Sim::context_word(const NodeRt& node, std::uint32_t ctx) const {
+  const std::optional<smt::ContextLoad> load = context_load(node, ctx);
+  return load.has_value()
+             ? smt::ChipLoad::context_word(load->kernel, load->priority)
+             : 0;  // idle
+}
+
+bool Sim::words_current(const NodeRt& node) const {
+  for (std::uint32_t ctx = 0; ctx < node.words.size(); ++ctx) {
+    if (context_word(node, ctx) != node.words[ctx]) return false;
+  }
+  return true;
+}
+
 /// Current load of one node's chip: what every context runs right now.
 /// Only the sampler-miss path needs the materialised ChipLoad; the
-/// steady-state key derivation lives in refresh_rates() and must stay in
-/// lockstep with this function (same word per context).
+/// steady-state key derivation in refresh_rates() reads the same
+/// context_load() per context.
 smt::ChipLoad Sim::build_load(const NodeRt& node) const {
   smt::ChipLoad load;
-  const smt::ChipConfig& chip = *node.ctx.chip;
-  for (std::uint32_t ctx = 0; ctx < chip.num_contexts(); ++ctx) {
-    const CpuId cpu = chip.cpu(ctx);
-    if (!node.ctx.kernel->process_on(cpu).has_value()) continue;  // idle
-    const int rank = rank_on_linear_[node.ctx_base + ctx];
-    SMTBAL_CHECK(rank >= 0);
-    const auto r = static_cast<std::size_t>(rank);
-    const bool computing = state_[r] == RunState::kComputing && !preempted(r);
-    load.contexts[ctx] =
-        smt::ContextLoad{computing ? kernel_of_rank_[r] : spin_kernel_,
-                         node.ctx.kernel->effective_priority(cpu)};
+  for (std::uint32_t ctx = 0; ctx < node.words.size(); ++ctx) {
+    load.contexts[ctx] = context_load(node, ctx);
   }
   return load;
 }
@@ -422,7 +453,7 @@ void Sim::release_rank(std::size_t rank) { complete_block(rank); }
 /// kBarrierRelease event; a zero-cost release drains inline through the
 /// collectives module's re-entrant-safe queue.
 void Sim::arrive_collective(std::size_t rank, SimTime release_cost) {
-  state_[rank] = RunState::kAtBarrier;
+  set_state(rank, RunState::kAtBarrier);
   ready_at_[rank] = kSimInf;
   ranks_[rank].wait_since = now_;
   set_trace(rank, trace::RankState::kSync);
@@ -456,6 +487,10 @@ void Sim::advance_rank(std::size_t rank) {
       if (compute->instructions <= 0.0) {
         ++rt.phase;
         continue;
+      }
+      if (state_[rank] != RunState::kComputing ||
+          kernel_of_rank_[rank] != compute->kernel) {
+        touch(rank);
       }
       state_[rank] = RunState::kComputing;
       remaining_[rank] = compute->instructions;
@@ -507,7 +542,7 @@ void Sim::advance_rank(std::size_t rank) {
         ++rt.phase;
         continue;
       }
-      state_[rank] = RunState::kAtWaitAll;
+      set_state(rank, RunState::kAtWaitAll);
       // A fully matched set with in-flight messages completes at the
       // last arrival; its kMsgArrival event is already queued and wakes
       // the rank. Unmatched receives wait for a future send.
@@ -521,7 +556,7 @@ void Sim::advance_rank(std::size_t rank) {
         ++rt.phase;
         continue;
       }
-      state_[rank] = RunState::kDelaying;
+      set_state(rank, RunState::kDelaying);
       rt.delay_until = now_ + delay->duration;
       rt.delay_traced_as = delay->traced_as;
       queue_.push(rt.delay_until, EventKind::kDelayDone,
@@ -545,6 +580,7 @@ void Sim::schedule_next_noise(NodeRt& node) {
 
 void Sim::on_noise_preempt(std::uint32_t global_ctx) {
   NodeRt& node = nodes_[node_of_ctx_[global_ctx]];
+  node.dirty = true;  // a vanilla kernel resets the priority; a window opens
   const os::NoiseEvent event = node.noise.next();
   schedule_next_noise(node);
   node.ctx.kernel->on_interrupt(event.cpu);
@@ -568,6 +604,7 @@ void Sim::on_noise_preempt(std::uint32_t global_ctx) {
 }
 
 void Sim::on_noise_resume(std::uint32_t global_ctx) {
+  nodes_[node_of_ctx_[global_ctx]].dirty = true;
   preempt_until_[global_ctx] = 0.0;
   const int rank = rank_on_linear_[global_ctx];
   if (rank < 0) return;

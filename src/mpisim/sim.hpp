@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/types.hpp"
@@ -112,7 +113,17 @@ class Sim final : public CollectiveClient, public AuditSource {
   struct NodeRt {
     NodeCtx ctx;
     std::uint32_t ctx_base = 0;       ///< first global context index
+    std::vector<CpuId> cpus;          ///< within-node linear context -> CPU
     std::vector<std::size_t> ranks;   ///< resident ranks, ascending
+    // Dirty-node refresh: refresh_rates() re-derives a node's words only
+    // when `dirty` is set (some input of a word changed: a rank state or
+    // kernel, the process table, a priority, a seat, a preemption window)
+    // or when a preemption window that was open at the last derivation
+    // has closed by now (`preempt_expiry`, the earliest such window end):
+    // preempted() reads the clock, so a window can expire before its
+    // kNoiseResume pops.
+    bool dirty = true;
+    SimTime preempt_expiry = kSimInf;
     os::NoiseSource noise;
     std::uint64_t load_key = 0;
     bool have_rates = false;
@@ -141,6 +152,11 @@ class Sim final : public CollectiveClient, public AuditSource {
     return nodes_[node_of_rank_[rank]];
   }
   [[nodiscard]] bool preempted(std::size_t rank) const;
+  /// Marks the node hosting `rank` for re-derivation on the next refresh.
+  void touch(std::size_t rank) { node_of(rank).dirty = true; }
+  /// Moves `rank` to a non-computing `state`, touching its node when the
+  /// rank leaves kComputing (its context word turns to the spin kernel).
+  void set_state(std::size_t rank, RunState state);
   [[nodiscard]] bool all_done() const { return done_count_ == ranks_.size(); }
 
   void set_trace(std::size_t rank, trace::RankState state);
@@ -150,6 +166,15 @@ class Sim final : public CollectiveClient, public AuditSource {
   void start_segment(std::size_t rank, double rate);
   void invalidate_prediction(std::size_t rank);
   void refresh_rates();
+  /// What context `ctx` of `node` runs right now (nullopt = idle): the one
+  /// derivation behind both the incremental key words and build_load().
+  [[nodiscard]] std::optional<smt::ContextLoad> context_load(
+      const NodeRt& node, std::uint32_t ctx) const;
+  [[nodiscard]] std::uint64_t context_word(const NodeRt& node,
+                                           std::uint32_t ctx) const;
+  /// Whether a clean node's cached words still equal a fresh derivation
+  /// (the dirty-marking invariant, checked in debug builds).
+  [[nodiscard]] bool words_current(const NodeRt& node) const;
   [[nodiscard]] smt::ChipLoad build_load(const NodeRt& node) const;
   void notify_receiver(std::size_t rank);
   void complete_block(std::size_t rank);

@@ -60,6 +60,10 @@ std::vector<EvalRequest> parse_requests(std::istream& in,
     const std::string type = record.string("type");
     if (type == "meta") {
       if (have_meta) record.fail("duplicate meta record");
+      if (const auto key = record.unknown_key({"schema", "type", "name"})) {
+        record.fail("unknown field \"" + *key +
+                    "\" in the meta record (known: name)");
+      }
       have_meta = true;
       return;
     }

@@ -11,7 +11,7 @@
 //    "trace":"runs/app.jsonl","policy":"none","lane":"interactive",
 //    "stats":"exec_time,imbalance"}
 //
-// Eval-record fields:
+// The meta record carries only an optional name. Eval-record fields:
 //   id        required, unique within the feed; echoed on the response
 //   scenario  simcheck::ScenarioSpec one-liner (parse_spec_string format;
 //             omitted keys take the spec defaults)       } exactly one of

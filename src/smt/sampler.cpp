@@ -55,8 +55,8 @@ std::uint64_t ChipLoad::key(std::uint64_t shape_seed) const {
 ThroughputSampler::ThroughputSampler(ChipConfig config, Options options)
     : config_(std::move(config)),
       options_(options),
-      shape_seed_(chip_shape_seed(config_)),
-      chip_(config_) {
+      shape_seed_(chip_shape_seed(config_)) {
+  config_.validate();  // a bad chip fails here, not at the first measure()
   if (config_.num_contexts() > kMaxContexts) {
     throw InvalidArgument(
         "chip has " + std::to_string(config_.num_contexts()) +
@@ -169,7 +169,9 @@ const SampleResult& ThroughputSampler::sample_measured(std::uint64_t key,
 }
 
 SampleResult ThroughputSampler::measure(const ChipLoad& load) {
-  chip_.reset();
+  if (!chip_.has_value()) chip_.emplace(config_);
+  Chip& chip = *chip_;
+  chip.reset();
 
   // Build one stream per active context. Seeds depend on the context
   // number only, so the same configuration always measures identically.
@@ -182,31 +184,31 @@ SampleResult ThroughputSampler::measure(const ChipLoad& load) {
     if (slot.has_value()) {
       streams[ctx] = std::make_unique<isa::StreamGen>(
           registry.get(slot->kernel), options_.seed + ctx * 0x9e37u);
-      chip_.bind_stream(cpu, streams[ctx].get());
-      chip_.set_priority(cpu, slot->priority);
+      chip.bind_stream(cpu, streams[ctx].get());
+      chip.set_priority(cpu, slot->priority);
     } else {
-      chip_.bind_stream(cpu, nullptr);
+      chip.bind_stream(cpu, nullptr);
       // Idle context: the OS idle loop shuts the thread off (ST mode).
-      chip_.set_priority(cpu, HwPriority::kOff);
+      chip.set_priority(cpu, HwPriority::kOff);
     }
   }
 
-  chip_.run(options_.warmup_cycles);
+  chip.run(options_.warmup_cycles);
   for (std::uint32_t c = 0; c < config_.num_cores; ++c) {
-    chip_.core(CoreId{c}).reset_perf();
+    chip.core(CoreId{c}).reset_perf();
   }
-  chip_.run(options_.window_cycles);
+  chip.run(options_.window_cycles);
 
   SampleResult result;
   for (std::uint32_t ctx = 0; ctx < config_.num_contexts(); ++ctx) {
     const CpuId cpu = config_.cpu(ctx);
-    result.ipc[ctx] = chip_.perf(cpu).ipc(options_.window_cycles);
+    result.ipc[ctx] = chip.perf(cpu).ipc(options_.window_cycles);
     result.instr_rate[ctx] = result.ipc[ctx] * config_.frequency_hz();
   }
 
   // Unbind the local streams before they go out of scope.
   for (std::uint32_t ctx = 0; ctx < config_.num_contexts(); ++ctx) {
-    chip_.bind_stream(config_.cpu(ctx), nullptr);
+    chip.bind_stream(config_.cpu(ctx), nullptr);
   }
   return result;
 }

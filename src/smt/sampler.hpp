@@ -289,7 +289,10 @@ class ThroughputSampler {
   ChipConfig config_;
   Options options_;
   std::uint64_t shape_seed_;
-  Chip chip_;
+  /// The cycle-model chip, built by the first measure(): a sampler that
+  /// is only ever answered from its caches (a warm run) never pays for
+  /// the chip's cache tag arrays.
+  std::optional<Chip> chip_;
   std::unordered_map<std::uint64_t, SampleResult> cache_;
   std::shared_ptr<SampleCache> shared_cache_;
   SamplerStats stats_;

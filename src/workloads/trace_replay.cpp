@@ -3,7 +3,10 @@
 #include <climits>
 #include <cmath>
 #include <fstream>
+#include <initializer_list>
+#include <optional>
 #include <sstream>
+#include <string>
 #include <variant>
 
 #include "common/error.hpp"
@@ -28,6 +31,23 @@ trace::RankState state_of(const Record& record, trace::RankState fallback) {
   record.fail("unknown interval state '" + name + "'");
 }
 
+/// Rejects a field outside `known` (which lists the head, schema and
+/// type, too), naming the record as `what`: a misspelt optional field
+/// would otherwise be ignored and replay as its default.
+void check_fields(const Record& record, const std::string& what,
+                  std::initializer_list<std::string_view> known) {
+  const std::optional<std::string> key = record.unknown_key(known);
+  if (!key.has_value()) return;
+  std::string listed;
+  for (const std::string_view name : known) {
+    if (name == "schema" || name == "type") continue;
+    if (!listed.empty()) listed += ", ";
+    listed += name;
+  }
+  record.fail("unknown field \"" + *key + "\" in " + what +
+              " (known: " + listed + ")");
+}
+
 /// A record's common head: schema and type.
 jsonl::Writer record(std::string_view type) {
   return jsonl::Writer("schema", kTraceReplaySchema, "type", type);
@@ -42,6 +62,8 @@ mpisim::Application parse_trace(std::istream& in, std::string_view source) {
     const std::string type = record.string("type");
     if (type == "meta") {
       if (have_meta) record.fail("duplicate meta record");
+      check_fields(record, "the meta record",
+                   {"schema", "type", "ranks", "name"});
       const std::uint64_t ranks = record.count("ranks");
       if (ranks == 0) record.fail("meta.ranks must be >= 1");
       app.ranks.resize(ranks);
@@ -58,7 +80,11 @@ mpisim::Application parse_trace(std::istream& in, std::string_view source) {
     }
     mpisim::RankProgram& program = app.ranks[rank];
     const std::string kind = record.string("kind");
+    const std::string what = "an interval of kind '" + kind + "'";
     if (kind == "compute") {
+      check_fields(record, what,
+                   {"schema", "type", "rank", "kind", "kernel", "instructions",
+                    "state"});
       const std::string kernel_name = record.string("kernel");
       const auto& registry = isa::KernelRegistry::instance();
       if (!registry.contains(kernel_name)) {
@@ -71,14 +97,20 @@ mpisim::Application parse_trace(std::istream& in, std::string_view source) {
       program.compute(registry.by_name(kernel_name).id, instructions,
                       state_of(record, trace::RankState::kCompute));
     } else if (kind == "delay") {
+      check_fields(record, what,
+                   {"schema", "type", "rank", "kind", "duration", "state"});
       const double duration = record.number("duration");
       if (duration < 0.0) record.fail("delay.duration must be >= 0");
       program.delay(duration, state_of(record, trace::RankState::kStat));
     } else if (kind == "barrier") {
+      check_fields(record, what, {"schema", "type", "rank", "kind"});
       program.barrier();
     } else if (kind == "allreduce") {
+      check_fields(record, what, {"schema", "type", "rank", "kind", "bytes"});
       program.allreduce(record.has("bytes") ? record.count("bytes") : 8);
     } else if (kind == "send" || kind == "recv") {
+      check_fields(record, what,
+                   {"schema", "type", "rank", "kind", "peer", "bytes", "tag"});
       const std::uint64_t peer = record.count("peer");
       if (peer >= app.ranks.size()) {
         record.fail(kind + ".peer " + std::to_string(peer) +
@@ -97,6 +129,7 @@ mpisim::Application parse_trace(std::istream& in, std::string_view source) {
         program.recv(peer_id, bytes, static_cast<int>(tag));
       }
     } else if (kind == "waitall") {
+      check_fields(record, what, {"schema", "type", "rank", "kind"});
       program.wait_all();
     } else {
       record.fail("unknown interval kind '" + kind + "'");

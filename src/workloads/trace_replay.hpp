@@ -19,6 +19,10 @@
 //   recv      peer, bytes, tag (optional, default 0)
 //   waitall   —
 //
+// A record carrying any other field is rejected (the meta record knows
+// ranks and name), so a misspelt optional field cannot silently replay
+// as its default.
+//
 // Intervals replay in file order within each rank; ranks interleave
 // freely. The compiled Application passes the usual structural
 // validation (matched collectives and sends/recvs), so a trace that

@@ -1,6 +1,7 @@
-// Event-kernel tests: EventQueue ordering guarantees, EngineConfig
-// validation, observer-bus wiring, MetricsObserver accounting, and the
-// noise-preemption-at-barrier-release boundary case.
+// Event-kernel tests: EventQueue ordering guarantees, message-channel
+// FIFO order, EngineConfig validation, observer-bus wiring,
+// MetricsObserver accounting, and the noise-preemption-at-barrier-release
+// boundary case.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,6 +12,7 @@
 
 #include "common/error.hpp"
 #include "isa/kernel.hpp"
+#include "mpisim/collectives.hpp"
 #include "mpisim/engine.hpp"
 #include "mpisim/event_queue.hpp"
 #include "mpisim/metrics.hpp"
@@ -213,6 +215,42 @@ TEST(EventQueue, ArenaPayloadsSurviveRecyclingProperty) {
   }
   while (!queue.empty()) check_pop();
   EXPECT_TRUE(expected_by_seq.empty());
+}
+
+// ---------------------------------------------------------------------------
+// Collectives: point-to-point channels
+
+TEST(Collectives, ChannelsAreFifoUnderInterleavedTags) {
+  Collectives collectives(3);
+  // Sends from rank 0 to rank 1 on tags -3 and 5, interleaved, with
+  // arrival times out of send order; a rank-2 send shares tag -3.
+  collectives.post_send(0, 1, -3, 4.0);
+  collectives.post_send(0, 1, 5, 2.0);
+  collectives.post_send(2, 1, -3, 0.5);
+  collectives.post_send(0, 1, -3, 1.0);
+  collectives.post_send(0, 1, 5, 3.0);
+
+  // Each receive takes its channel's oldest send, whatever the arrival.
+  std::vector<RecvReq> posted{{0, 5}, {0, -3}, {0, 5}, {0, -3}};
+  SimTime max_arrival = 0.0;
+  ASSERT_TRUE(collectives.match_all(1, posted, max_arrival));
+  EXPECT_EQ(posted[0].arrival, 2.0);
+  EXPECT_EQ(posted[1].arrival, 4.0);
+  EXPECT_EQ(posted[2].arrival, 3.0);
+  EXPECT_EQ(posted[3].arrival, 1.0);
+  EXPECT_EQ(max_arrival, 4.0);
+
+  // The drained channels match nothing more; the rank-2 channel and a
+  // later send on a drained channel still match, in order.
+  std::vector<RecvReq> more{{0, -3}, {2, -3}};
+  EXPECT_FALSE(collectives.match_all(1, more, max_arrival));
+  EXPECT_FALSE(more[0].matched);
+  EXPECT_TRUE(more[1].matched);
+  EXPECT_EQ(more[1].arrival, 0.5);
+  collectives.post_send(0, 1, -3, 7.0);
+  EXPECT_TRUE(collectives.match_all(1, more, max_arrival));
+  EXPECT_EQ(more[0].arrival, 7.0);
+  EXPECT_EQ(max_arrival, 7.0);
 }
 
 // ---------------------------------------------------------------------------

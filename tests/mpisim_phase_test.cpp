@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/error.hpp"
 #include "isa/kernel.hpp"
 
@@ -92,6 +94,57 @@ TEST(Application, TagsMatterForMatching) {
   app.ranks[0].send(RankId{1}, 8, /*tag=*/1);
   app.ranks[1].recv(RankId{0}, 8, /*tag=*/2).wait_all();
   EXPECT_THROW(app.validate(), InvalidArgument);
+}
+
+/// validate()'s message for `app`, or "" when it passes.
+std::string validation_error(const Application& app) {
+  try {
+    app.validate();
+  } catch (const InvalidArgument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Application, UnmatchedTrafficNamesTheLowestChannel) {
+  // Unmatched channels (src, dst, tag): (0,2,3) one send, (1,0,7) one
+  // send, (2,1,-1) one recv; (2,0,0) is matched. The lowest is 0 -> 2.
+  Application app;
+  app.ranks.resize(3);
+  app.ranks[0].recv(RankId{2}, 8).send(RankId{2}, 8, 3).wait_all();
+  app.ranks[1].send(RankId{0}, 8, 7).recv(RankId{2}, 8, -1).wait_all();
+  app.ranks[2].send(RankId{0}, 8);
+  EXPECT_EQ(validation_error(app),
+            "unmatched send/recv traffic between ranks 0 -> 2");
+  // A recv-only channel below it, (0,1,-4), becomes the lowest.
+  app.ranks[1].recv(RankId{0}, 8, -4).wait_all();
+  EXPECT_EQ(validation_error(app),
+            "unmatched send/recv traffic between ranks 0 -> 1");
+  // Two sends against one recv on the same channel is unmatched too.
+  Application surplus;
+  surplus.ranks.resize(2);
+  surplus.ranks[0].send(RankId{1}, 8).send(RankId{1}, 8);
+  surplus.ranks[1].recv(RankId{0}, 8).wait_all();
+  EXPECT_EQ(validation_error(surplus),
+            "unmatched send/recv traffic between ranks 0 -> 1");
+  surplus.ranks[1].recv(RankId{0}, 8).wait_all();
+  EXPECT_EQ(validation_error(surplus), "");
+}
+
+TEST(Application, RejectsMismatchedCollectiveSequences) {
+  const std::string differ =
+      "rank collective sequences differ: the collective would deadlock";
+  Application payload;
+  payload.ranks.resize(2);
+  payload.ranks[0].allreduce(8);
+  payload.ranks[1].allreduce(16);
+  EXPECT_EQ(validation_error(payload), differ);
+  Application order;
+  order.ranks.resize(3);
+  for (auto& rank : order.ranks) rank.barrier().allreduce(8);
+  order.ranks[2] = RankProgram{};
+  order.ranks[2].allreduce(8).barrier();
+  EXPECT_EQ(validation_error(order), differ);
 }
 
 TEST(Placement, IdentityMapsCoreMajor) {

@@ -181,6 +181,20 @@ TEST(RequestParse, RejectsUnknownFieldsAndNonJsonNumbers) {
   EXPECT_NE(what.find("feed:2:"), std::string::npos) << what;
   EXPECT_NE(what.find("\"cores\" is out of range"), std::string::npos) << what;
   EXPECT_EQ(error_of(head + R"("id":"q","trace":"t","cores":2,"smt":4})"), "");
+
+  // The meta record knows only its name: a misspelt one is an error.
+  std::istringstream bad_meta(
+      R"({"schema":"smtbal.evalreq/1","type":"meta","nmae":"x"})"
+      "\n");
+  try {
+    (void)parse_requests(bad_meta, "feed");
+    ADD_FAILURE() << "a meta record with an unknown field was accepted";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "feed:1: unknown field \"nmae\" in the meta record"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Response, ControlBytesInIdsAreEscapedAndParseBack) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -343,6 +344,41 @@ TEST(Sampler, SharedCacheAvoidsRemeasuring) {
   (void)s2.sample(load);
   EXPECT_EQ(s2.stats().shared_hits, 1u);
   EXPECT_EQ(cache->stats().hits, 1u);
+}
+
+TEST(Sampler, RejectsAnInvalidChipAtConstruction) {
+  // The cycle-model chip is built on the first measurement, but a bad
+  // chip config must still fail where the sampler is made.
+  ChipConfig slow;
+  slow.frequency_ghz = 0.0;
+  EXPECT_THROW(ThroughputSampler(slow, fast_options()), InvalidArgument);
+  ChipConfig mismatched;
+  mismatched.num_cores = mismatched.memory.num_cores + 1;
+  EXPECT_THROW(ThroughputSampler(mismatched, fast_options()), InvalidArgument);
+}
+
+TEST(Sampler, FullyWarmSharedCacheAnswersEveryProbe) {
+  const auto cache = std::make_shared<SampleCache>();
+  ThroughputSampler cold(ChipConfig{}, fast_options());
+  cold.attach_shared_cache(cache);
+  std::vector<ChipLoad> loads(3);
+  loads[0].contexts[0] =
+      ContextLoad{kid(isa::kKernelHpcMixed), HwPriority::kMedium};
+  loads[1].contexts[1] = ContextLoad{kid(isa::kKernelCfd), HwPriority::kHigh};
+  loads[2] = loads[0];
+  loads[2].contexts[3] = ContextLoad{kid(isa::kKernelCfd), HwPriority::kLow};
+  for (const ChipLoad& load : loads) (void)cold.sample(load);
+  ASSERT_EQ(cold.stats().misses, loads.size());
+
+  ThroughputSampler warm(ChipConfig{}, fast_options());
+  warm.attach_shared_cache(cache);
+  for (const ChipLoad& load : loads) {
+    const SampleResult* hit = warm.probe(load.key(warm.shape_seed()));
+    ASSERT_NE(hit, nullptr);
+    EXPECT_EQ(*hit, cold.sample(load));
+  }
+  EXPECT_EQ(warm.stats().misses, 0u);
+  EXPECT_EQ(warm.stats().shared_hits, loads.size());
 }
 
 TEST(Sampler, RejectsBadOptions) {

@@ -142,6 +142,29 @@ TEST(TraceReplay, RejectsMalformedLinesWithLineNumbers) {
                  "t.jsonl: trace compiles to an invalid application");
 }
 
+TEST(TraceReplay, RejectsUnknownFieldsNamingTheField) {
+  const std::string meta = kMeta(1);
+  const std::string interval =
+      R"({"schema":"smtbal.trace-replay/1","type":"interval",)";
+  // A misspelt "state" used to replay as the default stat state.
+  expect_rejects(meta + interval +
+                     "\"rank\":0,\"kind\":\"delay\",\"duration\":1e-3,"
+                     "\"sate\":\"comm\"}\n",
+                 "t.jsonl:2: unknown field \"sate\" in an interval of kind "
+                 "'delay' (known: rank, kind, duration, state)");
+  // A misspelt "name" used to leave the application named "app".
+  expect_rejects(R"({"schema":"smtbal.trace-replay/1","type":"meta",)"
+                 R"("ranks":1,"nmae":"x"})"
+                 "\n",
+                 "t.jsonl:1: unknown field \"nmae\" in the meta record "
+                 "(known: ranks, name)");
+  // Every kind checks its own field set: a compute field on a barrier.
+  expect_rejects(meta + interval +
+                     "\"rank\":0,\"kind\":\"barrier\",\"bytes\":8}\n",
+                 "t.jsonl:2: unknown field \"bytes\" in an interval of kind "
+                 "'barrier'");
+}
+
 // --- round trips ------------------------------------------------------------
 
 TEST(TraceReplay, EmitParseIsLosslessOnPhasePrograms) {
